@@ -69,7 +69,7 @@ serveMain(int argc, char **argv)
         const std::string arg = argv[i];
         const char *value = i + 1 < argc ? argv[i + 1] : nullptr;
         if (arg == "--socket" && value) {
-            config.endpoint = value;
+            config.socketPath = value;
             ++i;
         } else if (arg == "--checkpoint-dir" && value) {
             config.checkpointDir = value;
@@ -274,7 +274,7 @@ soakMain(const Options &options)
     // The client rides through kills, restarts, and its own injected
     // transport faults; generous retries, fast backoff.
     net::ClientConfig client_config;
-    client_config.endpoint = socket_path;
+    client_config.socketPath = socket_path;
     client_config.requestTimeoutMs = 2000;
     client_config.pollIntervalMs = 10;
     client_config.retry.maxRetries = 400;

@@ -34,12 +34,6 @@ react_add_bench(hot_loop)
 react_add_bench(server_soak)
 target_link_libraries(server_soak PRIVATE react_net)
 
-# Fleet soak: chaos harness for the multi-host fleet (worker SIGKILLs,
-# coordinator kill+restart, resets/partitions; merged output must be
-# byte-identical to a serial golden).
-react_add_bench(fleet_soak)
-target_link_libraries(fleet_soak PRIVATE react_net)
-
 # Google-benchmark microbenchmarks (simulator hot loop, AES kernel).
 add_executable(micro_engine ${CMAKE_SOURCE_DIR}/bench/micro_engine.cc)
 target_link_libraries(micro_engine PRIVATE react_harness benchmark::benchmark)

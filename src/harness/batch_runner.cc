@@ -943,10 +943,6 @@ batchAdmissible(const buffer::EnergyBuffer &buffer,
 {
     if (dynamic_cast<const buffer::StaticBuffer *>(&buffer) == nullptr)
         return false;
-    // The quiescent fast path collapses spans per cell; lanes must stay
-    // in lockstep.  (Off-mode results are the byte-exact reference.)
-    if (resolveFastPath(config.fastPath) != FastPath::Off)
-        return false;
     // Checkpoint/resume serializes mid-run state the lane engine holds
     // outside the buffer object, and the crash fuzzer's haltAfterSteps
     // must stop exactly like a power failure -- both stay per-cell.

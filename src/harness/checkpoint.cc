@@ -1,5 +1,7 @@
 #include "checkpoint.hh"
 
+#include <cstdio>
+
 #include "util/env.hh"
 
 namespace react {
@@ -27,7 +29,16 @@ applyCheckpointEnv(ExperimentConfig *config, std::string_view cell_key)
     if (!dir)
         return false;
 
-    config->checkpointPath = *dir + "/" + checkpointFileName(cell_key);
+    std::string key(cell_key);
+    if (config->faultPlan.enabled()) {
+        char suffix[48];
+        std::snprintf(suffix, sizeof(suffix), ":faults-%016llx-%llx",
+                      static_cast<unsigned long long>(
+                          config->faultPlan.digest()),
+                      static_cast<unsigned long long>(config->faultSeed));
+        key += suffix;
+    }
+    config->checkpointPath = *dir + "/" + checkpointFileName(key);
     config->resume = true;
     config->checkpointEverySteps =
         env::u64Var("REACT_CHECKPOINT_INTERVAL", 1, UINT64_MAX)

@@ -9,7 +9,8 @@
  *     REACT_CHECKPOINT_DIR=<dir>
  *
  * makes every grid cell checkpoint its simulation state to
- * `<dir>/<cell-key>.snap` (atomically, with a `.prev` fallback -- see
+ * `<dir>/<cell-key>.snap` (the key gains a `:faults-<digest>-<seed>`
+ * suffix under a fault plan; atomically, with a `.prev` fallback -- see
  * snapshot/snapshot.hh) and resume from it on the next run: finished
  * cells return their stored result instantly, interrupted cells pick up
  * from their last periodic checkpoint bit-identically, and damaged
@@ -54,7 +55,9 @@ std::string checkpointFileName(std::string_view cell_key);
 
 /**
  * Apply the REACT_CHECKPOINT_DIR / REACT_CHECKPOINT_INTERVAL
- * environment to @p config for the cell named @p cell_key.  No-op
+ * environment to @p config for the cell named @p cell_key.  A cell
+ * with a fault plan gets a file of its own per (plan, fault seed), so
+ * the severities of one fault sweep never share a snapshot.  No-op
  * (returns false) when REACT_CHECKPOINT_DIR is unset or empty.
  */
 bool applyCheckpointEnv(ExperimentConfig *config,

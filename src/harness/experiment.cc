@@ -10,7 +10,6 @@
 #include "harness/paper_setup.hh"
 #include "snapshot/snapshot.hh"
 #include "util/crc32.hh"
-#include "util/env.hh"
 #include "util/logging.hh"
 
 namespace react {
@@ -51,7 +50,6 @@ saveResult(snapshot::SnapshotWriter &w, const ExperimentResult &res)
     w.f64(res.onTime);
     w.f64(res.totalTime);
     w.u64(res.steps);
-    w.u64(res.fastSteps);
     w.u64(res.powerCycles);
     w.u64(res.workUnits);
     w.u64(res.packetsRx);
@@ -93,7 +91,6 @@ restoreResult(snapshot::SnapshotReader &r, ExperimentResult *res)
     res->onTime = r.f64();
     res->totalTime = r.f64();
     res->steps = r.u64();
-    res->fastSteps = r.u64();
     res->powerCycles = r.u64();
     res->workUnits = r.u64();
     res->packetsRx = r.u64();
@@ -133,78 +130,7 @@ restoreResult(snapshot::SnapshotReader &r, ExperimentResult *res)
     res->stateDigest = r.u32();
 }
 
-/**
- * FastPath::Check divergence gate: run the closed-form advance, capture
- * its observables, rewind the buffer through a snapshot, replay the same
- * span with exact zero-input steps, and panic if the fast result strays
- * beyond the documented rounding bound (DESIGN.md, "Hot loop": the
- * closed-form pow and the iterated per-step multiplies each accumulate
- * at most ~(n+1) half-ulp roundings, so 100 (n+2) eps with an absolute
- * floor of one covers both with two orders of margin).  The run
- * continues from the *exact* state, so Check mode's final result equals
- * Off mode's.
- */
-uint64_t
-checkedQuiescentAdvance(buffer::EnergyBuffer &buffer, units::Seconds dt,
-                        uint64_t max_steps)
-{
-    snapshot::SnapshotWriter w;
-    w.beginSection("fastcheck");
-    buffer.save(w);
-    w.endSection();
-    std::vector<uint8_t> image = w.finish();
-
-    const uint64_t advanced = buffer.advanceQuiescent(dt, max_steps);
-    if (advanced == 0)
-        return 0;
-    const double fast_rail = buffer.railVoltage().raw();
-    const double fast_stored = buffer.storedEnergy().raw();
-    const double fast_leaked = buffer.ledger().leaked.raw();
-
-    snapshot::SnapshotReader r(std::move(image));
-    r.beginSection("fastcheck");
-    buffer.restore(r);
-    r.endSection();
-    for (uint64_t i = 0; i < advanced; ++i)
-        buffer.step(dt, units::Watts(0.0), units::Amps(0.0));
-
-    const double rel = 100.0 * (static_cast<double>(advanced) + 2.0) *
-                       2.220446049250313e-16;
-    const auto check = [&](const char *what, double fast, double exact) {
-        const double bound = rel * std::max(1.0, std::abs(exact));
-        react_assert(std::abs(fast - exact) <= bound,
-                     "quiescent fast path diverged on %s: fast %.17g "
-                     "exact %.17g (bound %.3e over %llu steps)",
-                     what, fast, exact, bound,
-                     static_cast<unsigned long long>(advanced));
-    };
-    check("railVoltage", fast_rail, buffer.railVoltage().raw());
-    check("storedEnergy", fast_stored, buffer.storedEnergy().raw());
-    check("ledger.leaked", fast_leaked, buffer.ledger().leaked.raw());
-    return advanced;
-}
-
 } // namespace
-
-FastPath
-resolveFastPath(FastPath configured)
-{
-    if (configured != FastPath::Auto)
-        return configured;
-    static const FastPath env_mode = [] {
-        const auto v = env::stringVar("REACT_FAST_PATH");
-        if (!v || *v == "0" || *v == "off")
-            return FastPath::Off;
-        if (*v == "check")
-            return FastPath::Check;
-        if (*v != "1" && *v != "on")
-            react_warn("REACT_FAST_PATH='%s' is not 0/off, 1/on, or "
-                       "check; treating as on",
-                       v->c_str());
-        return FastPath::On;
-    }();
-    return env_mode;
-}
 
 ExperimentResult
 runExperiment(buffer::EnergyBuffer &buffer, workload::Benchmark *benchmark,
@@ -250,9 +176,11 @@ runExperiment(buffer::EnergyBuffer &buffer, workload::Benchmark *benchmark,
         }
     };
 
-    // Snapshot layout.  The meta section pins the experiment identity so
-    // a stale checkpoint from a different cell is rejected (and degrades
-    // to a cold start) instead of silently resuming the wrong run.
+    // Snapshot layout.  The meta section pins the experiment identity --
+    // including the fault plan, which two cells of one fault sweep may
+    // be all that tells apart -- so a stale checkpoint from a different
+    // cell is rejected (and degrades to a cold start) instead of
+    // silently resuming the wrong run.
     const auto write_checkpoint = [&](bool finished) {
         snapshot::SnapshotWriter w;
         w.beginSection("meta");
@@ -261,7 +189,7 @@ runExperiment(buffer::EnergyBuffer &buffer, workload::Benchmark *benchmark,
         w.str(result.traceName);
         w.f64(config.dt);
         w.u64(config.faultSeed);
-        w.b(injector != nullptr);
+        w.u64(config.faultPlan.digest());
         w.b(finished);
         w.endSection();
         if (finished) {
@@ -275,7 +203,6 @@ runExperiment(buffer::EnergyBuffer &buffer, workload::Benchmark *benchmark,
             w.f64(next_record);
             w.f64(stored_start);
             w.u64(result.steps);
-            w.u64(result.fastSteps);
             w.f64(result.latency);
             w.f64(result.onTime);
             w.u32(static_cast<uint32_t>(result.rail.size()));
@@ -326,14 +253,14 @@ runExperiment(buffer::EnergyBuffer &buffer, workload::Benchmark *benchmark,
                 const std::string trace_name = r.str();
                 const double dt = r.f64();
                 const uint64_t seed = r.u64();
-                const bool had_injector = r.b();
+                const uint64_t plan_digest = r.u64();
                 const bool finished = r.b();
                 r.endSection();
                 if (buf_name != result.bufferName ||
                     bench_name != result.benchmarkName ||
                     trace_name != result.traceName || dt != config.dt ||
                     seed != config.faultSeed ||
-                    had_injector != (injector != nullptr))
+                    plan_digest != config.faultPlan.digest())
                     throw snapshot::SnapshotError(
                         "checkpoint belongs to a different experiment (" +
                         buf_name + " / " + bench_name + " / " +
@@ -352,7 +279,6 @@ runExperiment(buffer::EnergyBuffer &buffer, workload::Benchmark *benchmark,
                 next_record = r.f64();
                 stored_start = r.f64();
                 result.steps = r.u64();
-                result.fastSteps = r.u64();
                 result.latency = r.f64();
                 result.onTime = r.f64();
                 result.rail.clear();
@@ -424,88 +350,7 @@ runExperiment(buffer::EnergyBuffer &buffer, workload::Benchmark *benchmark,
     ctx.buffer = &buffer;
     ctx.workScale = work_scale;
 
-    // Quiescent fast path (opt-in; see FastPath).  Fault injection is
-    // excluded outright: the injector draws from per-step streams, so
-    // skipping steps would desynchronize its randomness.
-    const FastPath fast_mode = resolveFastPath(config.fastPath);
-    const bool fast_enabled =
-        fast_mode != FastPath::Off && injector == nullptr;
-    // Below this span length the snapshot/bookkeeping overhead beats the
-    // savings and exact stepping is at least as fast.
-    constexpr uint64_t kFastPathMinSteps = 16;
-
     while (true) {
-        // Try to collapse a provably-quiescent span before the next
-        // exact step.  Preconditions mirror the exact loop: the gate is
-        // a pure latch, so with the backend off, zero load, zero trace
-        // power, and the rail strictly under the enable threshold (and
-        // only decaying), every skipped iteration's gate.update() and
-        // benchmark hooks are no-ops.  The horizon stops strictly short
-        // of every boundary with its own side effect -- the next nonzero
-        // trace sample, the next rail-recording instant, the trace end
-        // (where the settle/drain exit checks arm), the settle and drain
-        // exits themselves, the simulated-crash step, and the next
-        // periodic checkpoint -- so each of those still happens inside
-        // an exact step.
-        if (fast_enabled && !gate.isOn() && device.current() == 0.0 &&
-            frontend.power(units::Seconds(t)).raw() == 0.0 &&
-            buffer.railVoltage().raw() < config.enableVoltage) {
-            const double zero_until =
-                frontend.zeroPowerUntil(units::Seconds(t)).raw();
-            double horizon = zero_until - t;
-            if (config.recordRail)
-                horizon = std::min(horizon, next_record - t);
-            if (t < trace_duration) {
-                horizon = std::min(horizon, trace_duration - t);
-            } else {
-                horizon =
-                    std::min(horizon, config.settleTime - off_streak);
-                horizon = std::min(
-                    horizon,
-                    trace_duration + config.drainAllowance - t);
-            }
-            double max_steps_d = std::floor(horizon / config.dt) - 1.0;
-            if (config.haltAfterSteps > 0)
-                max_steps_d = std::min(
-                    max_steps_d,
-                    static_cast<double>(config.haltAfterSteps -
-                                        result.steps) -
-                        1.0);
-            if (!config.checkpointPath.empty() &&
-                config.checkpointEverySteps > 0)
-                max_steps_d = std::min(
-                    max_steps_d,
-                    static_cast<double>(
-                        config.checkpointEverySteps -
-                        result.steps % config.checkpointEverySteps) -
-                        1.0);
-            if (max_steps_d >=
-                static_cast<double>(kFastPathMinSteps)) {
-                const uint64_t max_steps =
-                    static_cast<uint64_t>(max_steps_d);
-                const uint64_t advanced =
-                    fast_mode == FastPath::Check
-                        ? checkedQuiescentAdvance(
-                              buffer, units::Seconds(config.dt),
-                              max_steps)
-                        : buffer.advanceQuiescent(
-                              units::Seconds(config.dt), max_steps);
-                if (advanced > 0) {
-                    // Accumulate time iteratively so t and off_streak
-                    // follow the exact loop's floating-point trajectory
-                    // (recording instants and exit checks land on the
-                    // same step).
-                    for (uint64_t i = 0; i < advanced; ++i) {
-                        t += config.dt;
-                        off_streak += config.dt;
-                    }
-                    result.steps += advanced;
-                    result.fastSteps += advanced;
-                    continue;
-                }
-            }
-        }
-
         t += config.dt;
         ++result.steps;
 

@@ -5,8 +5,6 @@
 #include <cmath>
 #include <thread>
 
-#include "net/auth.hh"
-#include "net/endpoint.hh"
 #include "util/determinism.hh"
 #include "util/logging.hh"
 
@@ -69,49 +67,13 @@ Client::ensureConnected()
 {
     if (sock.valid())
         return;
-    // Injected connection refusal: drawn from its own derived stream
-    // (see FaultInjector::nextConnectRefused) and surfaced exactly like
-    // a real ECONNREFUSED so the retry spine handles both identically.
-    if (injector.nextConnectRefused())
-        throw SocketError("injected connection refusal");
     if (clientStats.connects > 0)
         ++clientStats.reconnects;
-    sock = connectTo(Endpoint::parseOrThrow(config.endpoint),
-                     config.connectTimeoutMs);
+    sock = connectUnix(config.socketPath, config.connectTimeoutMs);
     ++clientStats.connects;
     decoder = FrameDecoder();
     transmit(makeHello());
-    Frame reply = awaitFrame();
-    if (reply.type == static_cast<uint8_t>(MsgType::AuthChallenge)) {
-        WireReader cr(reply.payload);
-        const std::vector<uint8_t> nonce_bytes = cr.bytes();
-        cr.expectEnd();
-        if (nonce_bytes.size() != kAuthNonceSize) {
-            disconnect();
-            throw ProtocolError("auth challenge nonce has wrong size");
-        }
-        if (config.fleetKey.empty()) {
-            disconnect();
-            // Terminal: no number of retries conjures up a key.
-            throw ClientError("server requires authentication and no "
-                              "fleet key is configured",
-                              ClientError::Kind::Rejected);
-        }
-        AuthNonce nonce;
-        std::copy(nonce_bytes.begin(), nonce_bytes.end(), nonce.begin());
-        const AuthMac mac = authProof(config.fleetKey, nonce);
-        transmit(makeAuthResponse(mac.data(), mac.size()));
-        reply = awaitFrame();
-    }
-    if (reply.type == static_cast<uint8_t>(MsgType::AuthReject)) {
-        WireReader rr(reply.payload);
-        const std::string reason = rr.str();
-        rr.expectEnd();
-        disconnect();
-        // Terminal: the key is wrong, retrying re-sends the same proof.
-        throw ClientError("server rejected session: " + reason,
-                          ClientError::Kind::Rejected);
-    }
+    const Frame reply = awaitFrame();
     if (reply.type != static_cast<uint8_t>(MsgType::HelloOk)) {
         disconnect();
         throw ProtocolError("handshake rejected (frame type " +
@@ -160,23 +122,6 @@ Client::transmit(const std::vector<uint8_t> &frame)
         disconnect();
         throw SocketError("injected partial write");
       }
-      case FaultAction::Reset: {
-        // Connection reset mid-frame: like a torn write, but modelling
-        // the peer/network killing an established connection (RST).
-        const size_t cut = injector.partialLength(frame.size());
-        if (cut > 0)
-            sendAll(sock.fd(), frame.data(), cut,
-                    config.requestTimeoutMs);
-        ++clientStats.framesSent;
-        disconnect();
-        throw SocketError("injected connection reset");
-      }
-      case FaultAction::Blackhole:
-        // Partition: the frame vanishes but the connection stays "up";
-        // the exchange times out against a live socket and subsequent
-        // frames keep vanishing until the partition ends.
-        ++clientStats.framesSent;
-        return;
       case FaultAction::Deliver:
         break;
     }
@@ -210,8 +155,7 @@ Client::awaitFrame()
 }
 
 JobOutcome
-Client::runJob(const JobSpec &spec,
-               const std::function<void(JobState)> &on_progress)
+Client::runJob(const JobSpec &spec)
 {
     const uint64_t id = spec.jobId();
     int attempt = 0;
@@ -259,13 +203,9 @@ Client::runJob(const JobSpec &spec,
                                 : ClientError::Kind::JobFailed);
                   }
                   case MsgType::Submitted: {
-                    const uint64_t got_id = r.u64();
-                    const JobState state =
-                        static_cast<JobState>(r.u8());
+                    r.u64();  // job id
+                    r.u8();   // state
                     r.expectEnd();
-                    (void)got_id;
-                    if (on_progress)
-                        on_progress(state);
                     std::this_thread::sleep_for(
                         std::chrono::milliseconds(
                             config.pollIntervalMs));
@@ -318,13 +258,6 @@ Client::ping()
         WireReader r(reply.payload);
         r.expectEnd();
         return true;
-    } catch (const ClientError &e) {
-        disconnect();
-        // A rejected session is a terminal verdict about credentials,
-        // not an unreachable server; callers must see the difference.
-        if (e.kind == ClientError::Kind::Rejected)
-            throw;
-        return false;
     } catch (const std::exception &) {
         disconnect();
         return false;

@@ -10,7 +10,7 @@
  *    (timeout, reset, server restart, CRC-rejected frame) costs one
  *    retry; delays grow exponentially to a cap, jittered from a seeded
  *    RNG so the schedule is deterministic in tests yet avoids lockstep
- *    stampedes in real fleets.
+ *    stampedes of many clients.
  *  - **Idempotent resubmission.**  A retried Submit carries the same
  *    spec, hence the same job id; the server attaches it to the
  *    existing job or answers straight from its result cache.  Retries
@@ -25,7 +25,6 @@
 #define REACT_NET_CLIENT_HH
 
 #include <cstdint>
-#include <functional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -55,8 +54,6 @@ class ClientError : public std::runtime_error
         JobFailed = 1,
         /** The job's queue-wait deadline lapsed (JobError/Expired). */
         DeadlineExpired = 2,
-        /** The server refused the session (auth reject, missing key). */
-        Rejected = 3,
     };
 
     explicit ClientError(const std::string &what_arg,
@@ -86,12 +83,8 @@ struct RetryPolicy
 
 struct ClientConfig
 {
-    /** Server endpoint URI ("unix:/path", "tcp:host:port", or a bare
-     *  AF_UNIX path); see net/endpoint.hh. */
-    std::string endpoint = "/tmp/reactd.sock";
-    /** Pre-shared fleet key for the auth handshake; empty = expect an
-     *  unauthenticated server (an AuthChallenge then fails terminally). */
-    std::vector<uint8_t> fleetKey;
+    /** Server's AF_UNIX socket path. */
+    std::string socketPath = "/tmp/reactd.sock";
     /** Budget for one request/response exchange, milliseconds. */
     int requestTimeoutMs = 5000;
     int connectTimeoutMs = 2000;
@@ -140,15 +133,10 @@ class Client
      * submit, poll while running, and retry the whole exchange (with
      * backoff) across any transient failure.
      *
-     * @param on_progress Invoked after every successful status exchange
-     *        with the server-reported state (the fleet coordinator
-     *        renews its shard lease from this heartbeat); may be empty.
      * @throws ClientError when retries are exhausted or the server
      *         reports the job Failed or Expired (kind tells which).
      */
-    JobOutcome runJob(const JobSpec &spec,
-                      const std::function<void(JobState)> &on_progress =
-                          {});
+    JobOutcome runJob(const JobSpec &spec);
 
     /** One Ping/Pong exchange.  @return false on any failure. */
     bool ping();

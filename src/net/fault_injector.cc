@@ -36,8 +36,7 @@ FaultPlan::fromSpec(const std::string &spec, FaultPlan *out,
             return false;
         }
         const bool is_rate = key == "drop" || key == "corrupt" ||
-            key == "delay" || key == "partial" || key == "reset" ||
-            key == "partition" || key == "refuse";
+            key == "delay" || key == "partial";
         if (is_rate && (num < 0.0 || num > 1.0)) {
             if (error)
                 *error = "rate '" + key + "' must be in [0, 1]";
@@ -51,19 +50,6 @@ FaultPlan::fromSpec(const std::string &spec, FaultPlan *out,
             plan.delayRate = num;
         } else if (key == "partial") {
             plan.partialRate = num;
-        } else if (key == "reset") {
-            plan.resetRate = num;
-        } else if (key == "partition") {
-            plan.partitionRate = num;
-        } else if (key == "refuse") {
-            plan.refuseRate = num;
-        } else if (key == "partframes") {
-            if (num < 1.0) {
-                if (error)
-                    *error = "partframes must be at least 1";
-                return false;
-            }
-            plan.partitionFrames = static_cast<uint64_t>(num);
         } else if (key == "delayms") {
             if (num < 0.0) {
                 if (error)
@@ -88,16 +74,8 @@ FaultPlan::fromSpec(const std::string &spec, FaultPlan *out,
     return true;
 }
 
-namespace {
-
-/** Tag deriving the connection-refusal stream from the plan seed. */
-constexpr uint64_t kRefuseStreamTag = 0x52465553u; // "RFUS"
-
-} // namespace
-
 FaultInjector::FaultInjector(const FaultPlan &plan_in)
-    : plan(plan_in), rng(plan_in.seed),
-      connectRng(Rng(plan_in.seed).child(kRefuseStreamTag))
+    : plan(plan_in), rng(plan_in.seed)
 {
 }
 
@@ -107,14 +85,6 @@ FaultInjector::nextAction()
     if (!plan.enabled()) {
         ++stats.delivered;
         return FaultAction::Deliver;
-    }
-    // An in-progress partition swallows frames before any fate draw;
-    // the draw stream stays aligned with (seed, frame ordinal) because
-    // partitioned frames never reach it.
-    if (partitionLeft > 0) {
-        --partitionLeft;
-        ++stats.blackholed;
-        return FaultAction::Blackhole;
     }
     // One uniform draw per frame, partitioned by cumulative rate, so
     // the schedule depends only on (seed, frame ordinal) -- not on
@@ -140,32 +110,8 @@ FaultInjector::nextAction()
         ++stats.partialWrites;
         return FaultAction::PartialWrite;
     }
-    edge += plan.resetRate;
-    if (u < edge) {
-        ++stats.resets;
-        return FaultAction::Reset;
-    }
-    edge += plan.partitionRate;
-    if (u < edge) {
-        ++stats.partitions;
-        ++stats.blackholed;
-        partitionLeft = plan.partitionFrames - 1;
-        return FaultAction::Blackhole;
-    }
     ++stats.delivered;
     return FaultAction::Deliver;
-}
-
-bool
-FaultInjector::nextConnectRefused()
-{
-    if (plan.refuseRate <= 0.0)
-        return false;
-    if (connectRng.uniform() < plan.refuseRate) {
-        ++stats.refused;
-        return true;
-    }
-    return false;
 }
 
 void

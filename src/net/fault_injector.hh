@@ -40,20 +40,6 @@ struct FaultPlan
     double delayRate = 0.0;
     /** P[only a seeded prefix is written, then the connection dies]. */
     double partialRate = 0.0;
-    /** P[the connection is reset mid-frame: a seeded prefix is written,
-     *  then the socket is hard-closed (RST-like)]. */
-    double resetRate = 0.0;
-    /** P[a partition starts at this frame: it and the next
-     *  partitionFrames-1 sends are black-holed -- written nowhere,
-     *  acknowledged by nothing -- while the connection stays up]. */
-    double partitionRate = 0.0;
-    /** P[a connection *attempt* is refused].  Drawn from a derived
-     *  stream so enabling it never perturbs the frame-fate schedule. */
-    double refuseRate = 0.0;
-    /** Length of an injected partition, in outgoing frames.  Counted in
-     *  frames rather than wall time so a partition is deterministic
-     *  under any scheduler. */
-    uint64_t partitionFrames = 8;
     /** Delay applied to delayed frames, milliseconds. */
     double delayMs = 20.0;
     /** Seed of the fate stream. */
@@ -63,8 +49,7 @@ struct FaultPlan
     bool enabled() const
     {
         return dropRate > 0.0 || corruptRate > 0.0 || delayRate > 0.0 ||
-            partialRate > 0.0 || resetRate > 0.0 || partitionRate > 0.0 ||
-            refuseRate > 0.0;
+            partialRate > 0.0;
     }
 
     /** The all-zero plan (explicit spelling of the default). */
@@ -72,10 +57,8 @@ struct FaultPlan
 
     /**
      * Parse a "key=value,key=value" spec, e.g.
-     * "drop=0.05,corrupt=0.05,delay=0.1,delayms=25,partial=0.02,seed=7"
-     * or the connection faults "refuse=0.1,reset=0.05,partition=0.02,
-     * partframes=6".  Unknown keys, unparsable numbers, and
-     * out-of-range rates fail.
+     * "drop=0.05,corrupt=0.05,delay=0.1,delayms=25,partial=0.02,seed=7".
+     * Unknown keys, unparsable numbers, and out-of-range rates fail.
      *
      * @param error Filled with a diagnostic on failure (may be null).
      * @return true on success.
@@ -92,11 +75,6 @@ enum class FaultAction : uint8_t
     Corrupt,
     Delay,
     PartialWrite,
-    /** Write a seeded prefix, then hard-close the connection. */
-    Reset,
-    /** Swallow the frame silently; the connection stays "up" (an
-     *  in-progress partition, see FaultPlan::partitionFrames). */
-    Blackhole,
 };
 
 /** Counters of injected faults (for soak reporting). */
@@ -107,18 +85,10 @@ struct FaultCounters
     uint64_t corrupted = 0;
     uint64_t delayed = 0;
     uint64_t partialWrites = 0;
-    uint64_t resets = 0;
-    /** Frames swallowed inside partitions. */
-    uint64_t blackholed = 0;
-    /** Partitions started (each swallows up to partitionFrames). */
-    uint64_t partitions = 0;
-    /** Connection attempts refused. */
-    uint64_t refused = 0;
 
     uint64_t injected() const
     {
-        return dropped + corrupted + delayed + partialWrites + resets +
-            blackholed + refused;
+        return dropped + corrupted + delayed + partialWrites;
     }
 };
 
@@ -130,12 +100,6 @@ class FaultInjector
 
     /** Draw the fate of the next outgoing frame (counts it). */
     FaultAction nextAction();
-
-    /** Draw whether the next connection attempt is refused (counts it).
-     *  Uses a stream derived from the plan seed, independent of the
-     *  frame-fate stream: enabling refusals does not shift any frame's
-     *  fate. */
-    bool nextConnectRefused();
 
     /** Flip one seeded bit of @p frame (used after a Corrupt draw). */
     void corruptInPlace(std::vector<uint8_t> *frame);
@@ -154,10 +118,7 @@ class FaultInjector
   private:
     FaultPlan plan;
     Rng rng;
-    Rng connectRng;
     FaultCounters stats;
-    /** Frames left to swallow in the current partition. */
-    uint64_t partitionLeft = 0;
 };
 
 } // namespace net

@@ -143,7 +143,6 @@ encodeResult(WireWriter &w, const harness::ExperimentResult &res)
     w.f64(res.onTime);
     w.f64(res.totalTime);
     w.u64(res.steps);
-    w.u64(res.fastSteps);
     w.u64(res.powerCycles);
     w.u64(res.workUnits);
     w.u64(res.packetsRx);
@@ -179,7 +178,6 @@ decodeResult(WireReader &r)
     res.onTime = r.f64();
     res.totalTime = r.f64();
     res.steps = r.u64();
-    res.fastSteps = r.u64();
     res.powerCycles = r.u64();
     res.workUnits = r.u64();
     res.packetsRx = r.u64();
@@ -297,30 +295,6 @@ makeError(const std::string &message)
     WireWriter w;
     w.str(message);
     return frameOf(MsgType::Error, w);
-}
-
-std::vector<uint8_t>
-makeAuthChallenge(const uint8_t *nonce, size_t size)
-{
-    WireWriter w;
-    w.bytes(std::vector<uint8_t>(nonce, nonce + size));
-    return frameOf(MsgType::AuthChallenge, w);
-}
-
-std::vector<uint8_t>
-makeAuthResponse(const uint8_t *mac, size_t size)
-{
-    WireWriter w;
-    w.bytes(std::vector<uint8_t>(mac, mac + size));
-    return frameOf(MsgType::AuthResponse, w);
-}
-
-std::vector<uint8_t>
-makeAuthReject(const std::string &reason)
-{
-    WireWriter w;
-    w.str(reason);
-    return frameOf(MsgType::AuthReject, w);
 }
 
 } // namespace net

@@ -47,10 +47,11 @@ namespace react {
 namespace net {
 
 /** Protocol revision; Hello/HelloOk must agree exactly.
- *  v2: auth handshake frames (net/auth.hh) and a JobState byte in
- *  JobError so clients can tell deadline expiry from execution failure
- *  without string matching. */
-constexpr uint32_t kProtocolVersion = 2;
+ *  v2: a JobState byte in JobError so clients can tell deadline expiry
+ *  from execution failure without string matching.
+ *  v3: the result encoding drops the fast-step count, and frame types
+ *  13-15 (v2's session-auth handshake) are gone. */
+constexpr uint32_t kProtocolVersion = 3;
 
 /** Frame types. */
 enum class MsgType : uint8_t
@@ -67,12 +68,6 @@ enum class MsgType : uint8_t
     Drain = 10,
     DrainOk = 11,
     Error = 12,
-    /** Server demands an HMAC proof for the enclosed nonce (v2). */
-    AuthChallenge = 13,
-    /** Client's HMAC proof over the challenge nonce (v2). */
-    AuthResponse = 14,
-    /** Typed authentication failure; the connection is dropped (v2). */
-    AuthReject = 15,
 };
 
 /** Server-side job lifecycle, as reported in Submitted frames. */
@@ -154,9 +149,6 @@ std::vector<uint8_t> makePong();
 std::vector<uint8_t> makeDrain();
 std::vector<uint8_t> makeDrainOk(uint32_t jobs_in_flight);
 std::vector<uint8_t> makeError(const std::string &message);
-std::vector<uint8_t> makeAuthChallenge(const uint8_t *nonce, size_t size);
-std::vector<uint8_t> makeAuthResponse(const uint8_t *mac, size_t size);
-std::vector<uint8_t> makeAuthReject(const std::string &reason);
 /** @} */
 
 } // namespace net

@@ -19,8 +19,6 @@
 
 #include "harness/grid.hh"
 #include "harness/parallel_runner.hh"
-#include "net/auth.hh"
-#include "net/endpoint.hh"
 #include "net/frame.hh"
 #include "net/protocol.hh"
 #include "net/socket.hh"
@@ -69,10 +67,7 @@ ServerConfig::fromEnv()
 {
     ServerConfig config;
     if (const auto v = env::stringVar("REACTD_SOCKET"))
-        config.endpoint = *v;
-    // REACTD_ENDPOINT wins over the legacy unix-path spelling.
-    if (const auto v = env::stringVar("REACTD_ENDPOINT"))
-        config.endpoint = *v;
+        config.socketPath = *v;
     if (const auto v = env::intVar("REACTD_THREADS", 1, 1 << 16))
         config.threads = static_cast<int>(*v);
     if (const auto v = env::stringVar("REACTD_CHECKPOINT_DIR"))
@@ -85,27 +80,15 @@ ServerConfig::fromEnv()
     if (const auto v = env::u64Var("REACTD_OUTBUF_MAX", 1024,
                                    1ull << 32))
         config.maxOutbufBytes = static_cast<size_t>(*v);
-    if (const auto v = env::u64Var("REACTD_AUTH_SEED", 0, UINT64_MAX))
-        config.authNonceSeed = *v;
-    if (const auto key = loadFleetKey())
-        config.fleetKey = *key;
     return config;
 }
 
 struct Server::Impl
 {
-    explicit Impl(const ServerConfig &config_in)
-        : config(config_in), nonces(config_in.authNonceSeed)
-    {
-    }
+    explicit Impl(const ServerConfig &config_in) : config(config_in) {}
 
     ServerConfig config;
     ServerStats stats;
-    NonceSource nonces;
-
-    // ---- bound endpoint (boundLock) -------------------------------
-    mutable std::mutex boundLock;
-    std::string boundEp;
 
     // ---- job table (jobsLock) ------------------------------------
     struct Job
@@ -144,13 +127,6 @@ struct Server::Impl
         size_t outCursor = 0;
         Clock::time_point lastActivity;
         bool closing = false;
-        /** Session may submit/poll.  Starts true when no fleet key is
-         *  configured (auth disabled); otherwise flipped only by a
-         *  verified AuthResponse. */
-        bool authenticated = false;
-        /** An AuthChallenge was issued; nonce below is live. */
-        bool challenged = false;
-        AuthNonce nonce = {};
     };
     std::vector<std::unique_ptr<Connection>> connections;
 
@@ -192,13 +168,6 @@ const ServerConfig &
 Server::config() const
 {
     return impl->config;
-}
-
-std::string
-Server::boundEndpoint() const
-{
-    std::lock_guard<std::mutex> g(impl->boundLock);
-    return impl->boundEp;
 }
 
 void
@@ -457,57 +426,6 @@ Server::Impl::handleFrame(Connection *conn, const Frame &frame)
 {
     ++stats.framesReceived;
     WireReader r(frame.payload);
-    // Auth gate: with a fleet key configured, the only frames an
-    // unauthenticated peer may speak are the handshake itself.  Anything
-    // else gets the typed reject and the connection is dropped -- a
-    // scanner can neither submit jobs nor probe the job table.
-    if (!conn->authenticated) {
-        switch (static_cast<MsgType>(frame.type)) {
-          case MsgType::Hello: {
-            const uint32_t version = r.u32();
-            r.expectEnd();
-            if (version != kProtocolVersion) {
-                sendFrame(conn,
-                          makeError("protocol version mismatch: want " +
-                                    std::to_string(kProtocolVersion)));
-                conn->closing = true;
-                return;
-            }
-            conn->nonce = nonces.next();
-            conn->challenged = true;
-            sendFrame(conn, makeAuthChallenge(conn->nonce.data(),
-                                              conn->nonce.size()));
-            return;
-          }
-          case MsgType::AuthResponse: {
-            const std::vector<uint8_t> mac = r.bytes();
-            r.expectEnd();
-            if (!conn->challenged ||
-                !verifyAuthProof(config.fleetKey, conn->nonce,
-                                 mac.data(), mac.size())) {
-                ++stats.authRejects;
-                react_warn("reactd: auth reject (%s)",
-                           conn->challenged ? "bad proof"
-                                            : "response before challenge");
-                sendFrame(conn, makeAuthReject("authentication failed"));
-                conn->closing = true;
-                return;
-            }
-            conn->authenticated = true;
-            conn->challenged = false;
-            sendFrame(conn, makeHelloOk());
-            return;
-          }
-          default:
-            ++stats.authRejects;
-            react_warn("reactd: auth reject (frame type %u before "
-                       "handshake)",
-                       static_cast<unsigned>(frame.type));
-            sendFrame(conn, makeAuthReject("not authenticated"));
-            conn->closing = true;
-            return;
-        }
-    }
     switch (static_cast<MsgType>(frame.type)) {
       case MsgType::Hello: {
         const uint32_t version = r.u32();
@@ -640,29 +558,19 @@ int
 Server::serve()
 {
     Impl &s = *impl;
-    const Endpoint endpoint = Endpoint::parseOrThrow(s.config.endpoint);
-    Socket listener = listenOn(endpoint);
+    Socket listener = listenUnix(s.config.socketPath);
     setNonBlocking(listener.fd());
-
-    Endpoint bound = endpoint;
-    if (bound.kind == Endpoint::Kind::Tcp)
-        bound.port = boundTcpPort(listener.fd());
-    {
-        std::lock_guard<std::mutex> g(s.boundLock);
-        s.boundEp = bound.str();
-    }
 
     if (::pipe2(s.wakePipe, O_NONBLOCK | O_CLOEXEC) != 0)
         react_fatal("reactd: cannot create wake pipe");
 
-    react_inform("reactd: serving on %s (%d worker threads%s%s)",
-                 bound.str().c_str(),
+    react_inform("reactd: serving on %s (%d worker threads%s)",
+                 s.config.socketPath.c_str(),
                  s.config.threads > 0
                      ? s.config.threads
                      : harness::ParallelRunner::defaultThreadCount(),
                  s.config.checkpointDir.empty() ? ""
-                                                : ", checkpointing",
-                 s.config.fleetKey.empty() ? "" : ", authenticated");
+                                                : ", checkpointing");
 
     std::thread executor([&s] { s.executorLoop(); });
 
@@ -722,8 +630,6 @@ Server::serve()
                     auto conn = std::make_unique<Impl::Connection>();
                     conn->sock = std::move(accepted);
                     conn->lastActivity = wallNow();
-                    // No key configured -> the auth gate is open.
-                    conn->authenticated = s.config.fleetKey.empty();
                     s.connections.push_back(std::move(conn));
                     ++s.stats.connectionsAccepted;
                 }
@@ -821,8 +727,7 @@ Server::serve()
     ::close(s.wakePipe[0]);
     ::close(s.wakePipe[1]);
     s.wakePipe[0] = s.wakePipe[1] = -1;
-    if (endpoint.kind == Endpoint::Kind::Unix)
-        ::unlink(endpoint.path.c_str());
+    ::unlink(s.config.socketPath.c_str());
     react_inform("reactd: drained cleanly (%llu jobs executed, %llu "
                  "cache hits, %llu protocol errors)",
                  static_cast<unsigned long long>(s.stats.jobsExecuted),

@@ -37,7 +37,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "harness/checkpoint.hh"
 
@@ -47,10 +46,8 @@ namespace net {
 /** Server options; fromEnv() fills them from REACTD_* variables. */
 struct ServerConfig
 {
-    /** Listening endpoint URI ("unix:/path", "tcp:host:port", or a bare
-     *  AF_UNIX path); see net/endpoint.hh.  tcp with port 0 binds an
-     *  ephemeral port, readable from Server::boundEndpoint(). */
-    std::string endpoint = "/tmp/reactd.sock";
+    /** AF_UNIX socket path to listen on (a stale file is replaced). */
+    std::string socketPath = "/tmp/reactd.sock";
     /** Worker threads for the cell pool; 0 = ParallelRunner default
      *  (REACT_THREADS / hardware concurrency). */
     int threads = 0;
@@ -66,20 +63,12 @@ struct ServerConfig
      *  never reads is dropped (typed warn) once this much output is
      *  queued, instead of growing the process without bound. */
     size_t maxOutbufBytes = 4u * 1024 * 1024;
-    /** Pre-shared fleet key; empty disables the auth handshake (the
-     *  PR-6 single-host flow).  fromEnv() loads REACT_FLEET_KEY /
-     *  REACT_FLEET_KEY_FILE via net/auth.hh. */
-    std::vector<uint8_t> fleetKey;
-    /** Seed of the auth challenge-nonce stream (see net/auth.hh). */
-    uint64_t authNonceSeed = 0x6f6e6365u;
 
     /**
-     * Environment defaults: REACTD_ENDPOINT (REACTD_SOCKET is the
-     * legacy unix-path spelling), REACTD_THREADS, REACTD_CHECKPOINT_DIR,
-     * REACTD_CHECKPOINT_INTERVAL, REACTD_IDLE_TIMEOUT_MS,
-     * REACTD_OUTBUF_MAX, REACTD_AUTH_SEED, REACT_FLEET_KEY[_FILE] --
-     * all parsed through util/env.hh (a malformed value warns and keeps
-     * the default; an unreadable key *file* throws, see loadFleetKey).
+     * Environment defaults: REACTD_SOCKET, REACTD_THREADS,
+     * REACTD_CHECKPOINT_DIR, REACTD_CHECKPOINT_INTERVAL,
+     * REACTD_IDLE_TIMEOUT_MS, REACTD_OUTBUF_MAX -- all parsed through
+     * util/env.hh (a malformed value warns and keeps the default).
      */
     static ServerConfig fromEnv();
 };
@@ -100,8 +89,6 @@ struct ServerStats
     uint64_t cacheEvictions = 0;
     /** Connections dropped for exceeding maxOutbufBytes. */
     uint64_t outbufOverflows = 0;
-    /** Sessions rejected by the auth handshake (bad or missing proof). */
-    uint64_t authRejects = 0;
 };
 
 /** See file comment. */
@@ -133,14 +120,6 @@ class Server
 
     const ServerStats &stats() const;
     const ServerConfig &config() const;
-
-    /**
-     * The endpoint actually bound, in canonical URI form -- for tcp
-     * with port 0 this carries the ephemeral port the OS assigned.
-     * Empty until serve() has bound; thread-safe, so a test can spin
-     * on it while serve() runs elsewhere.
-     */
-    std::string boundEndpoint() const;
 
   private:
     struct Impl;

@@ -6,11 +6,6 @@
 #include <cstdint>
 #include <cstring>
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netdb.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -75,38 +70,6 @@ unixAddress(const std::string &path)
         throw SocketError("socket path too long: " + path);
     std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
     return addr;
-}
-
-sockaddr_in
-tcpAddress(const std::string &host, uint16_t port)
-{
-    sockaddr_in addr = {};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) == 1)
-        return addr;
-    addrinfo hints = {};
-    hints.ai_family = AF_INET;
-    hints.ai_socktype = SOCK_STREAM;
-    addrinfo *res = nullptr;
-    const int rc = ::getaddrinfo(host.c_str(), nullptr, &hints, &res);
-    if (rc != 0)
-        throw SocketError("resolve '" + host +
-                          "': " + ::gai_strerror(rc));
-    if (res == nullptr)
-        throw SocketError("resolve '" + host + "': no IPv4 address");
-    addr.sin_addr =
-        reinterpret_cast<const sockaddr_in *>(res->ai_addr)->sin_addr;
-    ::freeaddrinfo(res);
-    return addr;
-}
-
-void
-setIntOption(int fd, int level, int option, const char *name)
-{
-    const int one = 1;
-    if (::setsockopt(fd, level, option, &one, sizeof(one)) != 0)
-        throwErrno(std::string("setsockopt(") + name + ")");
 }
 
 } // namespace
@@ -176,76 +139,6 @@ connectUnix(const std::string &path, int timeout_ms)
             continue;
         throwErrno("connect '" + path + "'");
     }
-}
-
-Socket
-listenTcp(const std::string &host, uint16_t port, int backlog)
-{
-    Socket sock(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
-    if (!sock.valid())
-        throwErrno("socket");
-    // REUSEADDR so a restarted coordinator/worker can rebind its fixed
-    // port while the previous incarnation's connections sit in TIME_WAIT.
-    setIntOption(sock.fd(), SOL_SOCKET, SO_REUSEADDR, "SO_REUSEADDR");
-    const sockaddr_in addr = tcpAddress(host.empty() ? "0.0.0.0" : host,
-                                        port);
-    if (::bind(sock.fd(), reinterpret_cast<const sockaddr *>(&addr),
-               sizeof(addr)) != 0)
-        throwErrno("bind 'tcp:" + host + ":" + std::to_string(port) + "'");
-    if (::listen(sock.fd(), backlog) != 0)
-        throwErrno("listen 'tcp:" + host + ":" + std::to_string(port) +
-                   "'");
-    return sock;
-}
-
-Socket
-connectTcp(const std::string &host, uint16_t port, int timeout_ms)
-{
-    const std::string label =
-        "tcp:" + host + ":" + std::to_string(port);
-    const sockaddr_in addr = tcpAddress(host, port);
-    // Nonblocking connect so the three-way handshake honours the caller's
-    // deadline (a blocked peer or a black-holed route can otherwise hang
-    // for minutes); the socket reverts to blocking afterwards to match
-    // the poll discipline of sendAll/recvSome.
-    Socket sock(::socket(AF_INET,
-                         SOCK_STREAM | SOCK_CLOEXEC | SOCK_NONBLOCK, 0));
-    if (!sock.valid())
-        throwErrno("socket");
-    const int64_t deadline = deadlineFrom(timeout_ms);
-    if (::connect(sock.fd(), reinterpret_cast<const sockaddr *>(&addr),
-                  sizeof(addr)) != 0) {
-        // EINTR on a nonblocking connect means the attempt continues
-        // asynchronously, exactly like EINPROGRESS (POSIX).
-        if (errno != EINPROGRESS && errno != EINTR)
-            throwErrno("connect '" + label + "'");
-        pollfd pfd = {};
-        pfd.fd = sock.fd();
-        pfd.events = POLLOUT;
-        for (;;) {
-            const int rc = ::poll(&pfd, 1, remainingMs(deadline));
-            if (rc > 0)
-                break;
-            if (rc == 0)
-                throw SocketError("connect '" + label + "' timed out");
-            if (errno != EINTR)
-                throwErrno("poll(connect)");
-        }
-        int err = 0;
-        socklen_t len = sizeof(err);
-        if (::getsockopt(sock.fd(), SOL_SOCKET, SO_ERROR, &err, &len) != 0)
-            throwErrno("getsockopt(SO_ERROR)");
-        if (err != 0)
-            throw SocketError("connect '" + label +
-                              "': " + std::strerror(err));
-    }
-    const int flags = ::fcntl(sock.fd(), F_GETFL);
-    if (flags < 0 ||
-        ::fcntl(sock.fd(), F_SETFL, flags & ~O_NONBLOCK) != 0)
-        throwErrno("fcntl(~O_NONBLOCK)");
-    // Request/response frames are small; Nagle only adds latency here.
-    setIntOption(sock.fd(), IPPROTO_TCP, TCP_NODELAY, "TCP_NODELAY");
-    return sock;
 }
 
 Socket

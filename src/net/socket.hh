@@ -1,15 +1,12 @@
 /**
  * @file
- * Minimal stream-socket wrapper (AF_UNIX and TCP) with timeouts.
+ * Minimal AF_UNIX stream-socket wrapper with timeouts.
  *
- * reactd defaults to a filesystem socket path: no port allocation races
+ * reactd serves on a filesystem socket path: no port allocation races
  * in parallel CI, no network flakiness in the failure-injection tests
  * (every injected fault is *ours*), and the OS gives exact byte-stream
  * semantics -- which is precisely what the framing layer is hardened
- * against.  The fleet work adds TCP listen/connect beside it; the
- * framing layer above is byte-stream agnostic, so TCP's extra failure
- * modes (slow handshakes, RSTs, black holes) are handled here and in
- * the retry spine, not in the protocol.
+ * against.
  *
  * All I/O is poll()-based with explicit millisecond deadlines carried
  * as *absolute* monotonic deadlines across EINTR restarts -- a retry
@@ -75,20 +72,6 @@ Socket listenUnix(const std::string &path, int backlog = 16);
  * @throws SocketError on failure or timeout.
  */
 Socket connectUnix(const std::string &path, int timeout_ms);
-
-/**
- * Create, bind (SO_REUSEADDR), and listen on a TCP socket.  An empty
- * @p host binds INADDR_ANY; @p port 0 takes an ephemeral port (recover
- * it with endpoint.hh's boundTcpPort()).  @throws SocketError.
- */
-Socket listenTcp(const std::string &host, uint16_t port, int backlog = 16);
-
-/**
- * Connect to @p host:@p port within @p timeout_ms (nonblocking connect +
- * poll + SO_ERROR; negative timeout waits forever).  The returned socket
- * is blocking with TCP_NODELAY set.  @throws SocketError.
- */
-Socket connectTcp(const std::string &host, uint16_t port, int timeout_ms);
 
 /**
  * Accept one pending connection (the caller already established

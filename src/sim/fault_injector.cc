@@ -17,16 +17,24 @@ constexpr double kInfinity = std::numeric_limits<double>::infinity();
 /** Cap on the retained event log; counters stay exact past it. */
 constexpr size_t kMaxLoggedEvents = 20000;
 
+/** FNV-1a over @p size bytes. */
+uint64_t
+fnv1a64(const void *data, size_t size)
+{
+    const auto *bytes = static_cast<const uint8_t *>(data);
+    uint64_t hash = 14695981039346656037ull;
+    for (size_t i = 0; i < size; ++i) {
+        hash ^= bytes[i];
+        hash *= 1099511628211ull;
+    }
+    return hash;
+}
+
 /** FNV-1a over the component name: the child-stream tag. */
 uint64_t
 fnv1a64(const std::string &name)
 {
-    uint64_t hash = 14695981039346656037ull;
-    for (char ch : name) {
-        hash ^= static_cast<uint8_t>(ch);
-        hash *= 1099511628211ull;
-    }
-    return hash;
+    return fnv1a64(name.data(), name.size());
 }
 
 } // namespace
@@ -39,6 +47,19 @@ FaultPlan::enabled() const
         comparatorMisreadsPerHour > 0.0 || capacitanceFadePerHour > 0.0 ||
         esrRisePerHour > 0.0 || diodeFailuresPerHour > 0.0 ||
         harvesterDropoutsPerHour > 0.0 || framCorruptionPerPowerLoss > 0.0;
+}
+
+uint64_t
+FaultPlan::digest() const
+{
+    const double fields[] = {
+        switchStuckProbability, switchSlowProbability,
+        comparatorDriftVoltsPerSqrtHour, comparatorMisreadsPerHour,
+        comparatorMisreadMagnitude, capacitanceFadePerHour,
+        esrRisePerHour, diodeFailuresPerHour, diodeShortFraction,
+        harvesterDropoutsPerHour, harvesterDropoutMeanSeconds.raw(),
+        framCorruptionPerPowerLoss};
+    return fnv1a64(fields, sizeof(fields));
 }
 
 FaultPlan

@@ -107,6 +107,10 @@ struct FaultPlan
     /** Whether any fault class is active. */
     bool enabled() const;
 
+    /** FNV-1a digest of every field's bit pattern: the plan's identity
+     *  in checkpoint metadata and snapshot file names. */
+    uint64_t digest() const;
+
     /** The all-zero plan (explicit spelling of the default). */
     static FaultPlan none() { return FaultPlan(); }
 

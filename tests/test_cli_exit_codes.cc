@@ -6,12 +6,13 @@
  * asserting the raw wait status.
  *
  *     0 success | 1 job failed | 2 usage | 4 transport |
- *     5 deadline expired | 6 session rejected
+ *     5 deadline expired
  */
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -22,6 +23,7 @@
 #include <unistd.h>
 
 #include "harness/parallel_runner.hh"
+#include "net/client.hh"
 #include "net/server.hh"
 
 #ifndef REACT_CLI_BIN
@@ -68,10 +70,6 @@ class CliExitCodes : public ::testing::Test
     void SetUp() override
     {
         harness::ParallelRunner::clearStopRequest();
-        // The CLI reads REACT_FLEET_KEY* itself; keep the test
-        // environment from leaking into the child.
-        ::unsetenv("REACT_FLEET_KEY");
-        ::unsetenv("REACT_FLEET_KEY_FILE");
     }
 
     void TearDown() override
@@ -80,18 +78,24 @@ class CliExitCodes : public ::testing::Test
         harness::ParallelRunner::clearStopRequest();
     }
 
-    std::string startServer(const std::vector<uint8_t> &key = {})
+    std::string startServer()
     {
         ServerConfig config;
-        config.endpoint = "tcp:127.0.0.1:0";
+        config.socketPath =
+            (std::filesystem::temp_directory_path() /
+             ("react_test_cli." + std::to_string(::getpid()) + ".sock"))
+                .string();
         config.threads = 1;
-        config.fleetKey = key;
         server = std::make_unique<Server>(config);
         thread = std::thread([this] { server->serve(); });
-        for (int i = 0; i < 500 && server->boundEndpoint().empty(); ++i)
+        ClientConfig probe;
+        probe.socketPath = config.socketPath;
+        Client pinger(probe);
+        bool up = false;
+        for (int i = 0; i < 500 && !(up = pinger.ping()); ++i)
             std::this_thread::sleep_for(std::chrono::milliseconds(10));
-        EXPECT_FALSE(server->boundEndpoint().empty());
-        return server->boundEndpoint();
+        EXPECT_TRUE(up);
+        return config.socketPath;
     }
 
     void stopServer()
@@ -109,9 +113,9 @@ class CliExitCodes : public ::testing::Test
 
 TEST_F(CliExitCodes, SuccessIsZero)
 {
-    const std::string endpoint = startServer();
-    EXPECT_EQ(runCli({"--endpoint", endpoint, "ping"}), 0);
-    EXPECT_EQ(runCli({"--endpoint", endpoint, "run", "DE", "RF Cart",
+    const std::string path = startServer();
+    EXPECT_EQ(runCli({"--socket", path, "ping"}), 0);
+    EXPECT_EQ(runCli({"--socket", path, "run", "DE", "RF Cart",
                       "REACT"}),
               0);
 }
@@ -120,54 +124,30 @@ TEST_F(CliExitCodes, UsageErrorsAreTwo)
 {
     EXPECT_EQ(runCli({}), 2);
     EXPECT_EQ(runCli({"--bogus-flag", "x", "ping"}), 2);
-    const std::string endpoint = startServer();
-    EXPECT_EQ(runCli({"--endpoint", endpoint, "run", "NoSuchBench",
+    const std::string path = startServer();
+    EXPECT_EQ(runCli({"--socket", path, "run", "NoSuchBench",
                       "RF Cart", "REACT"}),
               2);
 }
 
 TEST_F(CliExitCodes, TransportFailureIsFour)
 {
-    // Nobody listens here; connection is refused immediately.
-    EXPECT_EQ(runCli({"--endpoint", "tcp:127.0.0.1:1", "--retries", "0",
-                      "--timeout", "500", "run", "DE", "RF Cart",
+    // Nobody listens here; the connect fails immediately.
+    EXPECT_EQ(runCli({"--socket", "/nonexistent/reactd.sock", "--retries",
+                      "0", "--timeout", "500", "run", "DE", "RF Cart",
                       "REACT"}),
               4);
 }
 
 TEST_F(CliExitCodes, DeadlineExpiryIsFive)
 {
-    const std::string endpoint = startServer();
+    const std::string path = startServer();
     // A queue-wait deadline that lapses before any dispatch: the server
     // expires the job and the CLI must distinguish that from transport
     // loss (4) and from a failed run (1).
-    EXPECT_EQ(runCli({"--endpoint", endpoint, "--deadline", "1e-9",
+    EXPECT_EQ(runCli({"--socket", path, "--deadline", "1e-9",
                       "run", "DE", "RF Cart", "REACT"}),
               5);
-}
-
-TEST_F(CliExitCodes, SessionRejectionIsSix)
-{
-    const char key_text[] = "cli-exit-code-key";
-    const std::vector<uint8_t> key(key_text,
-                                   key_text + sizeof(key_text) - 1);
-    const std::string endpoint = startServer(key);
-    // No key: the server's challenge is unanswerable.
-    EXPECT_EQ(runCli({"--endpoint", endpoint, "run", "DE", "RF Cart",
-                      "REACT"}),
-              6);
-    // Wrong key: the server rejects the proof.
-    EXPECT_EQ(runCli({"--endpoint", endpoint, "--key", "wrong-key",
-                      "run", "DE", "RF Cart", "REACT"}),
-              6);
-    // ping must report the same terminal verdict, not "no pong" (4).
-    EXPECT_EQ(runCli({"--endpoint", endpoint, "ping"}), 6);
-    EXPECT_EQ(runCli({"--endpoint", endpoint, "--key", "wrong-key",
-                      "ping"}),
-              6);
-    // Right key via flag: back to success.
-    EXPECT_EQ(runCli({"--endpoint", endpoint, "--key", key_text, "ping"}),
-              0);
 }
 
 } // namespace

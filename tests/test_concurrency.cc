@@ -268,7 +268,7 @@ TEST(ConcurrencyServer, ExecutorServesParallelClientsIdentically)
     harness::ParallelRunner::clearStopRequest();
 
     ServerConfig config;
-    config.endpoint =
+    config.socketPath =
         (std::filesystem::temp_directory_path() /
          ("react_test_conc." + std::to_string(::getpid()) + ".sock"))
             .string();
@@ -278,7 +278,7 @@ TEST(ConcurrencyServer, ExecutorServesParallelClientsIdentically)
     std::thread server_thread([&] { exit_status = server.serve(); });
 
     ClientConfig probe;
-    probe.endpoint = config.endpoint;
+    probe.socketPath = config.socketPath;
     probe.requestTimeoutMs = 2000;
     {
         Client pinger(probe);
@@ -306,7 +306,7 @@ TEST(ConcurrencyServer, ExecutorServesParallelClientsIdentically)
         clients.emplace_back([&, c] {
             try {
                 ClientConfig cc;
-                cc.endpoint = config.endpoint;
+                cc.socketPath = config.socketPath;
                 cc.requestTimeoutMs = 120000;
                 Client client(cc);
                 JobSpec mine = shared;
@@ -336,14 +336,14 @@ TEST(ConcurrencyServer, ExecutorServesParallelClientsIdentically)
     EXPECT_EQ(private_bytes[3], private_bytes[1]);
 
     ClientConfig cc;
-    cc.endpoint = config.endpoint;
+    cc.socketPath = config.socketPath;
     cc.requestTimeoutMs = 120000;
     Client closer(cc);
     EXPECT_EQ(closer.drain(), 0u);
     server_thread.join();
     EXPECT_EQ(exit_status, 0);
     harness::ParallelRunner::clearStopRequest();
-    std::filesystem::remove(config.endpoint);
+    std::filesystem::remove(config.socketPath);
 }
 
 } // namespace

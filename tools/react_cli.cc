@@ -8,11 +8,7 @@
  *     react-cli [options] drain
  *
  * options:
- *     --endpoint URI   server endpoint: unix:/path or tcp:host:port
- *                      (default unix:/tmp/reactd.sock)
- *     --socket PATH    alias for --endpoint unix:PATH
- *     --key STR        fleet auth key (overrides REACT_FLEET_KEY /
- *                      REACT_FLEET_KEY_FILE)
+ *     --socket PATH    server socket (default /tmp/reactd.sock)
  *     --timeout MS     per-request timeout
  *     --retries N      transient failures tolerated per job
  *     --seed N         base seed for submitted cells
@@ -31,19 +27,15 @@
  *     2  usage error (bad flags, unknown cell name)
  *     4  transport failure (cannot reach / keep a session to the server)
  *     5  the job's queue-wait deadline expired on the server
- *     6  the server rejected the session (failed auth handshake,
- *        protocol version mismatch)
  */
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "harness/grid.hh"
 #include "harness/paper_setup.hh"
-#include "net/auth.hh"
 #include "net/client.hh"
 #include "trace/paper_traces.hh"
 
@@ -59,7 +51,6 @@ constexpr int kExitJobFailed = 1;
 constexpr int kExitUsage = 2;
 constexpr int kExitTransport = 4;
 constexpr int kExitDeadline = 5;
-constexpr int kExitRejected = 6;
 
 /** Map a client error to the documented exit code. */
 int
@@ -68,8 +59,6 @@ exitCodeFor(const react::net::ClientError &e)
     switch (e.kind) {
     case react::net::ClientError::Kind::DeadlineExpired:
         return kExitDeadline;
-    case react::net::ClientError::Kind::Rejected:
-        return kExitRejected;
     case react::net::ClientError::Kind::JobFailed:
         return kExitJobFailed;
     case react::net::ClientError::Kind::Transport:
@@ -83,8 +72,7 @@ usage(const char *argv0)
 {
     std::fprintf(
         stderr,
-        "usage: %s [--endpoint URI] [--socket PATH] [--key STR]\n"
-        "          [--timeout MS] [--retries N]\n"
+        "usage: %s [--socket PATH] [--timeout MS] [--retries N]\n"
         "          [--seed N] [--deadline S] [--faults SPEC]\n"
         "          ping | run BENCH TRACE BUFFER |\n"
         "          sweep [--bench B] [--trace T] [--buffer K] | drain\n",
@@ -198,13 +186,7 @@ main(int argc, char **argv)
             listNames();
             return 0;
         } else if (arg == "--socket" && value) {
-            config.endpoint = std::string("unix:") + value;
-            ++i;
-        } else if (arg == "--endpoint" && value) {
-            config.endpoint = value;
-            ++i;
-        } else if (arg == "--key" && value) {
-            config.fleetKey.assign(value, value + std::strlen(value));
+            config.socketPath = value;
             ++i;
         } else if (arg == "--timeout" && value) {
             config.requestTimeoutMs = std::atoi(value);
@@ -251,15 +233,6 @@ main(int argc, char **argv)
         usage(argv[0]);
         return kExitUsage;
     }
-    if (config.fleetKey.empty()) {
-        try {
-            if (const auto key = react::net::loadFleetKey())
-                config.fleetKey = *key;
-        } catch (const std::exception &e) {
-            std::fprintf(stderr, "react-cli: %s\n", e.what());
-            return kExitUsage;
-        }
-    }
     const std::string &command = positional[0];
     react::net::Client client(config);
 
@@ -267,10 +240,10 @@ main(int argc, char **argv)
         if (command == "ping") {
             if (!client.ping()) {
                 std::fprintf(stderr, "react-cli: no pong from %s\n",
-                             config.endpoint.c_str());
+                             config.socketPath.c_str());
                 return kExitTransport;
             }
-            std::printf("pong from %s\n", config.endpoint.c_str());
+            std::printf("pong from %s\n", config.socketPath.c_str());
             return kExitOk;
         }
         if (command == "drain") {

@@ -1,48 +1,21 @@
 /**
  * @file
- * reactd -- the experiment server daemon, and fleet coordinator.
+ * reactd -- the experiment server daemon.
  *
- * Server mode (default):
- *
- *     reactd [--endpoint URI] [--threads N] [--checkpoint-dir DIR]
+ *     reactd [--socket PATH] [--threads N] [--checkpoint-dir DIR]
  *            [--checkpoint-interval STEPS] [--idle-timeout-ms MS]
  *
  * Flags override the REACTD_* environment (see ServerConfig::fromEnv).
- * `--socket PATH` survives as an alias for `--endpoint unix:PATH`.
  * SIGTERM/SIGINT begin a graceful drain: in-flight cells finish (writing
  * their checkpoints when a checkpoint dir is set) and the process exits 0.
- *
- * Coordinator mode:
- *
- *     reactd --coordinate --worker URI [--worker URI ...]
- *            [--out FILE] [--shards N] [--lease-ms MS]
- *            [--heartbeat-ms MS] [--timeout MS] [--retries N]
- *            [--seed N] [--deadline S] [--faults SPEC]
- *
- * Shards the full evaluation grid across the worker daemons with
- * lease-based ownership (net/fleet.hh): a worker that stops renewing
- * its lease loses the shard, which is re-dispatched.  The merged
- * result (canonical encodeFleetOutput bytes) goes to --out; exit 0
- * iff every cell completed.  REACT_FLEET_KEY / REACT_FLEET_KEY_FILE
- * provide the pre-shared auth key; REACT_FLEET_LEASE_MS,
- * REACT_FLEET_HEARTBEAT_MS, and REACT_FLEET_SHARDS are flag defaults.
  */
 
-#include <cerrno>
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
-#include <vector>
 
-#include "harness/grid.hh"
-#include "harness/paper_setup.hh"
-#include "net/auth.hh"
-#include "net/fleet.hh"
 #include "net/server.hh"
-#include "trace/paper_traces.hh"
-#include "util/env.hh"
 
 namespace {
 
@@ -51,14 +24,10 @@ usage(const char *argv0)
 {
     std::fprintf(
         stderr,
-        "usage: %s [--endpoint URI] [--socket PATH] [--threads N]\n"
+        "usage: %s [--socket PATH] [--threads N]\n"
         "          [--checkpoint-dir DIR] [--checkpoint-interval STEPS]\n"
-        "          [--idle-timeout-ms MS]\n"
-        "       %s --coordinate --worker URI [--worker URI ...]\n"
-        "          [--out FILE] [--shards N] [--lease-ms MS]\n"
-        "          [--heartbeat-ms MS] [--timeout MS] [--retries N]\n"
-        "          [--seed N] [--deadline S] [--faults SPEC]\n",
-        argv0, argv0);
+        "          [--idle-timeout-ms MS]\n",
+        argv0);
 }
 
 bool
@@ -72,80 +41,12 @@ parseLong(const char *text, long lo, long hi, long *out)
     return true;
 }
 
-/** The full evaluation grid as job specs, in enumeration order. */
-std::vector<react::net::JobSpec>
-gridJobs(uint64_t base_seed, double deadline_seconds)
-{
-    std::vector<react::net::JobSpec> jobs;
-    for (const auto bench : react::harness::kAllBenchmarks)
-        for (const auto trace : react::trace::kAllPaperTraces)
-            for (const auto buffer : react::harness::kAllBuffers) {
-                react::net::JobSpec spec;
-                spec.bench = bench;
-                spec.trace = trace;
-                spec.buffer = buffer;
-                spec.baseSeed = base_seed;
-                spec.deadlineSeconds = deadline_seconds;
-                jobs.push_back(spec);
-            }
-    return jobs;
-}
-
-int
-coordinate(const react::net::FleetConfig &config,
-           const std::vector<react::net::JobSpec> &jobs,
-           const std::string &out_path)
-{
-    const react::net::FleetResult result =
-        react::net::runFleetSweep(jobs, config);
-
-    if (!out_path.empty()) {
-        const std::vector<uint8_t> merged =
-            react::net::encodeFleetOutput(result);
-        std::FILE *f = std::fopen(out_path.c_str(), "wb");
-        if (f == nullptr) {
-            std::fprintf(stderr, "reactd: cannot write '%s': %s\n",
-                         out_path.c_str(), std::strerror(errno));
-            return 1;
-        }
-        const size_t wrote =
-            std::fwrite(merged.data(), 1, merged.size(), f);
-        const bool ok = wrote == merged.size() && std::fclose(f) == 0;
-        if (!ok) {
-            std::fprintf(stderr, "reactd: short write to '%s'\n",
-                         out_path.c_str());
-            return 1;
-        }
-    }
-
-    for (const auto &job : result.jobs)
-        if (!job.ok)
-            std::fprintf(stderr, "reactd: job %016llx failed: %s\n",
-                         static_cast<unsigned long long>(job.jobId),
-                         job.error.c_str());
-    if (result.stats.byteMismatches != 0) {
-        std::fprintf(stderr,
-                     "reactd: %llu duplicate result(s) with mismatched "
-                     "bytes -- determinism violation\n",
-                     static_cast<unsigned long long>(
-                         result.stats.byteMismatches));
-        return 1;
-    }
-    return result.complete ? 0 : 1;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     react::net::ServerConfig config = react::net::ServerConfig::fromEnv();
-    react::net::FleetConfig fleet;
-    fleet.applyEnv();
-    bool coordinate_mode = false;
-    std::string out_path;
-    uint64_t base_seed = react::harness::kEvaluationSeed;
-    double deadline_seconds = 0.0;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -155,10 +56,7 @@ main(int argc, char **argv)
             usage(argv[0]);
             return 0;
         } else if (arg == "--socket" && value) {
-            config.endpoint = std::string("unix:") + value;
-            ++i;
-        } else if (arg == "--endpoint" && value) {
-            config.endpoint = value;
+            config.socketPath = value;
             ++i;
         } else if (arg == "--threads" && value &&
                    parseLong(value, 1, 1 << 16, &parsed)) {
@@ -176,74 +74,12 @@ main(int argc, char **argv)
                    parseLong(value, 1, 1 << 30, &parsed)) {
             config.idleTimeoutMs = static_cast<int>(parsed);
             ++i;
-        } else if (arg == "--coordinate") {
-            coordinate_mode = true;
-        } else if (arg == "--worker" && value) {
-            fleet.workers.push_back(value);
-            ++i;
-        } else if (arg == "--out" && value) {
-            out_path = value;
-            ++i;
-        } else if (arg == "--shards" && value &&
-                   parseLong(value, 1, 1 << 20, &parsed)) {
-            fleet.shardCount = static_cast<size_t>(parsed);
-            ++i;
-        } else if (arg == "--lease-ms" && value &&
-                   parseLong(value, 10, 1 << 30, &parsed)) {
-            fleet.leaseMs = static_cast<int>(parsed);
-            ++i;
-        } else if (arg == "--heartbeat-ms" && value &&
-                   parseLong(value, 1, 1 << 30, &parsed)) {
-            fleet.heartbeatMs = static_cast<int>(parsed);
-            ++i;
-        } else if (arg == "--timeout" && value &&
-                   parseLong(value, 1, 1 << 30, &parsed)) {
-            fleet.requestTimeoutMs = static_cast<int>(parsed);
-            ++i;
-        } else if (arg == "--retries" && value &&
-                   parseLong(value, 0, 1 << 20, &parsed)) {
-            fleet.retry.maxRetries = static_cast<int>(parsed);
-            ++i;
-        } else if (arg == "--seed" && value) {
-            base_seed =
-                static_cast<uint64_t>(std::strtoull(value, nullptr, 10));
-            ++i;
-        } else if (arg == "--deadline" && value) {
-            deadline_seconds = std::atof(value);
-            ++i;
-        } else if (arg == "--faults" && value) {
-            std::string error;
-            if (!react::net::FaultPlan::fromSpec(value, &fleet.faults,
-                                                 &error)) {
-                std::fprintf(stderr, "reactd: bad --faults: %s\n",
-                             error.c_str());
-                return 2;
-            }
-            ++i;
         } else {
             std::fprintf(stderr, "reactd: bad argument '%s'\n",
                          arg.c_str());
             usage(argv[0]);
             return 2;
         }
-    }
-
-    if (coordinate_mode) {
-        if (fleet.workers.empty()) {
-            std::fprintf(stderr,
-                         "reactd: --coordinate needs --worker URIs\n");
-            usage(argv[0]);
-            return 2;
-        }
-        try {
-            if (const auto key = react::net::loadFleetKey())
-                fleet.fleetKey = *key;
-        } catch (const std::exception &e) {
-            std::fprintf(stderr, "reactd: %s\n", e.what());
-            return 2;
-        }
-        return coordinate(fleet, gridJobs(base_seed, deadline_seconds),
-                          out_path);
     }
 
     react::net::Server server(config);
