@@ -15,7 +15,8 @@
  * summary showing that REACT degrades gracefully: even after the
  * watchdog retires banks it completes more work than the 17 mF static
  * baseline, because the surviving banks and the small last-level buffer
- * keep both responsiveness and most of the capacity.
+ * keep both responsiveness and most of the capacity.  `--csv <path>`
+ * also writes every cell's full result (%.17g) for the golden suite.
  */
 
 #include <cmath>
@@ -23,12 +24,13 @@
 #include "bench_common.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace react;
     bench::printPreamble(
         "Fault sweep: work completed vs hardware-fault severity",
         "robustness extension (faults beyond the paper's S 5 testbed)");
+    auto csv = bench::csvFromArgs(argc, argv);
 
     const double severities[] = {0.0, 0.5, 1.0, 2.0, 4.0};
     const harness::BufferKind kinds[] = {harness::BufferKind::React,
@@ -66,6 +68,12 @@ main()
     }
     runner.run();
 
+    // The golden artifact pins every faulted cell bit-for-bit: the whole
+    // energy ledger, latency, work, and the fault/recovery counters.
+    csv.line("severity,buffer,latency,on_time,power_cycles,work_units,"
+             "harvested,delivered,clipped,leaked,switch_loss,diode_loss,"
+             "overhead,fault_loss,residual_energy,conservation_error,"
+             "fault_events,recovery_events,banks_retired,fram_recoveries");
     for (size_t s = 0; s < 5; ++s) {
         for (size_t k = 0; k < 3; ++k) {
             const auto &r = results[s][k];
@@ -81,8 +89,29 @@ main()
                         static_cast<unsigned long long>(r.faultEvents),
                         r.banksRetired, r.framRecoveries, efficiency,
                         r.conservationError);
+            const auto &l = r.ledger;
+            csv.line(bench::csvNum(severities[s]) + "," + r.bufferName +
+                     "," + bench::csvNum(r.latency) + "," +
+                     bench::csvNum(r.onTime) + "," +
+                     std::to_string(r.powerCycles) + "," +
+                     std::to_string(r.workUnits) + "," +
+                     bench::csvNum(l.harvested.raw()) + "," +
+                     bench::csvNum(l.delivered.raw()) + "," +
+                     bench::csvNum(l.clipped.raw()) + "," +
+                     bench::csvNum(l.leaked.raw()) + "," +
+                     bench::csvNum(l.switchLoss.raw()) + "," +
+                     bench::csvNum(l.diodeLoss.raw()) + "," +
+                     bench::csvNum(l.overhead.raw()) + "," +
+                     bench::csvNum(l.faultLoss.raw()) + "," +
+                     bench::csvNum(r.residualEnergy) + "," +
+                     bench::csvNum(r.conservationError) + "," +
+                     std::to_string(r.faultEvents) + "," +
+                     std::to_string(r.recoveryEvents) + "," +
+                     std::to_string(r.banksRetired) + "," +
+                     std::to_string(r.framRecoveries));
         }
     }
+    csv.write();
 
     const auto &react_h = results[4][0];
     const auto &static_h = results[4][2];

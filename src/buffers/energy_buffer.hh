@@ -18,12 +18,10 @@
 #include <string>
 
 #include "sim/energy_ledger.hh"
+#include "sim/fault_injector.hh"
 #include "util/units.hh"
 
 namespace react {
-namespace sim {
-class FaultInjector;
-}
 namespace snapshot {
 class SnapshotWriter;
 class SnapshotReader;
@@ -138,6 +136,8 @@ class EnergyBuffer
      * that harden against faults (REACT's watchdog) also report recovery
      * events back.  Detached (the default) means ideal hardware, and the
      * step path must be bit-identical to a build without this feature.
+     * Overrides intern their component names here, once, so the step
+     * path passes handles only.
      */
     virtual void attachFaultInjector(sim::FaultInjector *injector)
     {

@@ -126,6 +126,17 @@ MorphyBuffer::addRailCharge(Coulombs dq)
 }
 
 void
+MorphyBuffer::attachFaultInjector(sim::FaultInjector *injector)
+{
+    faults = injector;
+    if (faults == nullptr)
+        return;
+    fabricId = faults->intern("morphy.fabric");
+    comparatorId = faults->intern("morphy.comparator");
+    taskCapId = faults->intern("morphy.taskcap");
+}
+
+void
 MorphyBuffer::applyConfig(int index)
 {
     react_assert(index >= 0 && index <= maxCapacitanceLevel(),
@@ -135,9 +146,9 @@ MorphyBuffer::applyConfig(int index)
     // The whole regrouping rides on one fabric command; a jammed fabric
     // freezes Morphy at its present configuration (no watchdog here --
     // graceful degradation is REACT's contribution, not Morphy's).
-    if (faults != nullptr && !faults->switchActuates("morphy.fabric"))
+    if (faults != nullptr && !faults->switchActuates(fabricId))
         return;
-    if (faults != nullptr && faults->switchDelayed("morphy.fabric"))
+    if (faults != nullptr && faults->switchDelayed(fabricId))
         return;  // sluggish fabric: the controller retries next poll
     configIndex = index;
     ++reconfigCount;
@@ -175,7 +186,7 @@ MorphyBuffer::pollController()
 {
     Volts v = railVoltage();
     if (faults != nullptr)
-        v = faults->comparatorRead("morphy.comparator", v);
+        v = faults->comparatorRead(comparatorId, v);
     if (v >= params.vHigh && configIndex < maxCapacitanceLevel()) {
         applyConfig(configIndex + 1);
     } else if (v <= params.vLow && configIndex > 0) {
@@ -197,7 +208,7 @@ MorphyBuffer::step(Seconds dt, Watts input_power, Amps load_current)
             agingAccumulator = Seconds(0.0);
             energyLedger.faultLoss += task.setCapacitance(
                 params.taskCap.capacitance *
-                faults->capacitanceFactor("morphy.taskcap"));
+                faults->capacitanceFactor(taskCapId));
         }
     }
 

@@ -66,6 +66,7 @@ class MorphyBuffer final : public EnergyBuffer
     Joules storedEnergy() const override;
     Farads equivalentCapacitance() const override;
     void reset() override;
+    void attachFaultInjector(sim::FaultInjector *injector) override;
 
     int capacitanceLevel() const override { return configIndex; }
     int maxCapacitanceLevel() const override;
@@ -101,6 +102,10 @@ class MorphyBuffer final : public EnergyBuffer
     Seconds pollAccumulator{0.0};
     Seconds agingAccumulator{0.0};
     uint64_t reconfigCount = 0;
+    /** Injector components, interned at attach time. */
+    sim::FaultHandle fabricId;
+    sim::FaultHandle comparatorId;
+    sim::FaultHandle taskCapId;
 };
 
 } // namespace buffer

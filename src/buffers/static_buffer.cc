@@ -37,6 +37,14 @@ StaticBuffer::StaticBuffer(const sim::CapacitorSpec &spec, Volts rail_clamp,
                  "rail clamp cannot exceed the capacitor rating");
 }
 
+void
+StaticBuffer::attachFaultInjector(sim::FaultInjector *injector)
+{
+    faults = injector;
+    if (faults != nullptr)
+        capId = faults->intern("static.cap");
+}
+
 bool
 StaticBuffer::laneAgingEnabled() const
 {
@@ -54,7 +62,7 @@ StaticBuffer::laneStepAging(Seconds dt)
         if (agingAccumulator >= Seconds(0.1)) {
             agingAccumulator = Seconds(0.0);
             energyLedger.faultLoss += cap.setCapacitance(
-                baseCapacitance * faults->capacitanceFactor("static.cap"));
+                baseCapacitance * faults->capacitanceFactor(capId));
         }
     }
 }

@@ -41,6 +41,7 @@ class StaticBuffer final : public EnergyBuffer
     Joules storedEnergy() const override;
     Farads equivalentCapacitance() const override;
     void reset() override;
+    void attachFaultInjector(sim::FaultInjector *injector) override;
 
     /** Overvoltage clamp. */
     Volts railClamp() const { return clamp; }
@@ -81,6 +82,8 @@ class StaticBuffer final : public EnergyBuffer
      *  aging derates from. */
     Farads baseCapacitance;
     Seconds agingAccumulator{0.0};
+    /** "static.cap": the capacitor's aging component. */
+    sim::FaultHandle capId;
 };
 
 } // namespace buffer

@@ -62,21 +62,28 @@ ReactBuffer::ReactBuffer(const ReactConfig &config)
     watch.resize(banks.size());
     outTransfer.resize(banks.size());
     backTransfer.resize(banks.size());
-    for (int i = 0; i < bankCount(); ++i) {
-        switchNames.push_back(bankComponent(i, "switch"));
-        telemetryNames.push_back(bankComponent(i, "telemetry"));
-        inDiodeNames.push_back(bankComponent(i, "diode.in"));
-        outDiodeNames.push_back(bankComponent(i, "diode.out"));
-        bankCapNames.push_back(bankComponent(i, "cap"));
-    }
+    bankIds.resize(banks.size());
 }
 
 void
 ReactBuffer::attachFaultInjector(sim::FaultInjector *injector)
 {
     faults = injector;
-    if (faults != nullptr)
-        persistFramRecord();
+    if (faults == nullptr)
+        return;
+    for (int i = 0; i < bankCount(); ++i) {
+        BankFaultIds &ids = bankIds[static_cast<size_t>(i)];
+        ids.sw = faults->intern(bankComponent(i, "switch"));
+        ids.telemetry = faults->intern(bankComponent(i, "telemetry"));
+        ids.diodeIn = faults->intern(bankComponent(i, "diode.in"));
+        ids.diodeOut = faults->intern(bankComponent(i, "diode.out"));
+        ids.cap = faults->intern(bankComponent(i, "cap"));
+    }
+    lastLevelCapId = faults->intern("react.lastlevel.cap");
+    lastLevelDiodeInId = faults->intern("react.lastlevel.diode.in");
+    comparatorId = faults->intern("react.comparator");
+    framId = faults->intern("react.fram");
+    persistFramRecord();
 }
 
 int
@@ -196,14 +203,14 @@ ReactBuffer::notifyBackendPower(bool on)
         // release and keeps its bank wired into the network.
         for (int i = 0; i < bankCount(); ++i) {
             if (faults != nullptr &&
-                faults->isSwitchStuck(switchNames[static_cast<size_t>(i)])) {
+                faults->isSwitchStuck(bankIds[static_cast<size_t>(i)].sw)) {
                 continue;
             }
             banks[static_cast<size_t>(i)].setState(BankState::Disconnected);
         }
         // The power loss may have interrupted an FRAM config write.
         if (faults != nullptr && !framImage.empty())
-            faults->maybeCorruptOnPowerLoss("react.fram", &framImage);
+            faults->maybeCorruptOnPowerLoss(framId, &framImage);
     }
 }
 
@@ -246,8 +253,8 @@ ReactBuffer::actuateBank(int index, BankState target)
     const double n = static_cast<double>(bank.spec().count);
 
     bool moved = false;
-    if (faults->switchActuates(switchNames[i])) {
-        if (faults->switchDelayed(switchNames[i])) {
+    if (faults->switchActuates(bankIds[i].sw)) {
+        if (faults->switchDelayed(bankIds[i].sw)) {
             // Sluggish mechanism: the transition lands one poll late.
             // In flight, not a fault the read-back should punish.
             watch[i].pending = true;
@@ -273,7 +280,7 @@ ReactBuffer::actuateBank(int index, BankState target)
         expected = v_before / n;
 
     const Volts observed =
-        faults->comparatorRead(telemetryNames[i], bank.terminalVoltage());
+        faults->comparatorRead(bankIds[i].telemetry, bank.terminalVoltage());
     if (expected >= Volts(0.0)) {
         if (units::abs(observed - expected) > cfg.watchdogTolerance)
             ++watch[i].mismatch;
@@ -345,7 +352,7 @@ ReactBuffer::retireBank(int index)
     // closed keeps the bank electrically present, but the software stops
     // counting on it either way.
     auto &bank = banks[static_cast<size_t>(index)];
-    if (!faults->isSwitchStuck(switchNames[static_cast<size_t>(index)]) &&
+    if (!faults->isSwitchStuck(bankIds[static_cast<size_t>(index)].sw) &&
         bank.state() != BankState::Disconnected) {
         bank.setState(BankState::Disconnected);
         ++transitionCount;
@@ -358,7 +365,7 @@ ReactBuffer::retireBank(int index)
         requestedLevel = top;
 
     faults->recordEvent(sim::FaultEventKind::BankRetired,
-                        switchNames[static_cast<size_t>(index)],
+                        bankIds[static_cast<size_t>(index)].sw,
                         static_cast<double>(index));
     persistFramRecord();
 }
@@ -371,7 +378,7 @@ ReactBuffer::pollController()
 
     Volts v = lastLevel.voltage();
     if (faults != nullptr)
-        v = faults->comparatorRead("react.comparator", v);
+        v = faults->comparatorRead(comparatorId, v);
 
     const int top = policy.maxLevel(retiredMask);
     if (v >= cfg.vHigh && level < top) {
@@ -440,7 +447,7 @@ ReactBuffer::restoreFramRecord()
     if (requestedLevel > policy.maxLevel(retiredMask))
         requestedLevel = policy.maxLevel(retiredMask);
     ++framRecoveryCount;
-    faults->recordEvent(sim::FaultEventKind::FramRecovery, "react.fram");
+    faults->recordEvent(sim::FaultEventKind::FramRecovery, framId);
     persistFramRecord();
 }
 
@@ -449,12 +456,12 @@ ReactBuffer::applyAging()
 {
     energyLedger.faultLoss += lastLevel.setCapacitance(
         cfg.lastLevel.capacitance *
-        faults->capacitanceFactor("react.lastlevel.cap"));
+        faults->capacitanceFactor(lastLevelCapId));
     for (int i = 0; i < bankCount(); ++i) {
         auto &bank = banks[static_cast<size_t>(i)];
         energyLedger.faultLoss += bank.setUnitCapacitance(
             cfg.banks[static_cast<size_t>(i)].unit.capacitance *
-            faults->capacitanceFactor(bankCapNames[static_cast<size_t>(i)]));
+            faults->capacitanceFactor(bankIds[static_cast<size_t>(i)].cap));
     }
 }
 
@@ -473,7 +480,7 @@ ReactBuffer::routeInput(Watts input_power, Seconds dt)
     Volts drop = cfg.diodeDrop;
     Volts v_min = lastLevel.voltage();
     if (faults != nullptr) {
-        const sim::DiodeFault f = faults->diodeFault("react.lastlevel.diode.in");
+        const sim::DiodeFault f = faults->diodeFault(lastLevelDiodeInId);
         if (f == sim::DiodeFault::Open)
             target = -2;
         else if (f == sim::DiodeFault::Short)
@@ -485,7 +492,7 @@ ReactBuffer::routeInput(Watts input_power, Seconds dt)
             continue;
         sim::DiodeFault f = sim::DiodeFault::None;
         if (faults != nullptr)
-            f = faults->diodeFault(inDiodeNames[static_cast<size_t>(i)]);
+            f = faults->diodeFault(bankIds[static_cast<size_t>(i)].diodeIn);
         if (f == sim::DiodeFault::Open)
             continue;
         if (bank.terminalVoltage() < v_min || target == -2) {
@@ -535,9 +542,9 @@ ReactBuffer::replenishLastLevel(Seconds dt)
         Ohms resistance = cfg.transferResistance;
         if (faults != nullptr) {
             const sim::DiodeFault f =
-                faults->diodeFault(outDiodeNames[static_cast<size_t>(i)]);
+                faults->diodeFault(bankIds[static_cast<size_t>(i)].diodeOut);
             resistance *=
-                faults->esrMultiplier(switchNames[static_cast<size_t>(i)]);
+                faults->esrMultiplier(bankIds[static_cast<size_t>(i)].sw);
             if (f == sim::DiodeFault::Open)
                 continue;  // the bank can no longer feed the rail
             if (f == sim::DiodeFault::Short) {

@@ -47,6 +47,7 @@
 #include "core/react_config.hh"
 #include "sim/capacitor.hh"
 #include "sim/charge_transfer.hh"
+#include "sim/fault_injector.hh"
 
 namespace react {
 namespace core {
@@ -196,12 +197,20 @@ class ReactBuffer final : public buffer::EnergyBuffer
     int framRecoveryCount = 0;
     std::vector<BankWatch> watch;
     std::vector<uint8_t> framImage;
-    /** Cached component names (stable injector stream identities). */
-    std::vector<std::string> switchNames;
-    std::vector<std::string> telemetryNames;
-    std::vector<std::string> inDiodeNames;
-    std::vector<std::string> outDiodeNames;
-    std::vector<std::string> bankCapNames;
+    /** One bank's injector components, interned at attach time. */
+    struct BankFaultIds
+    {
+        sim::FaultHandle sw;
+        sim::FaultHandle telemetry;
+        sim::FaultHandle diodeIn;
+        sim::FaultHandle diodeOut;
+        sim::FaultHandle cap;
+    };
+    std::vector<BankFaultIds> bankIds;
+    sim::FaultHandle lastLevelCapId;
+    sim::FaultHandle lastLevelDiodeInId;
+    sim::FaultHandle comparatorId;
+    sim::FaultHandle framId;
     /** @} */
 };
 

@@ -39,6 +39,14 @@ NonVolatileStore::commit()
 }
 
 void
+NonVolatileStore::attachFaultInjector(sim::FaultInjector *injector)
+{
+    faults = injector;
+    if (faults != nullptr)
+        framId = faults->intern("nvstore");
+}
+
+void
 NonVolatileStore::failInFlightWrites()
 {
     if (faults != nullptr) {
@@ -49,7 +57,7 @@ NonVolatileStore::failInFlightWrites()
         // be mistaken for a committed value.
         for (auto &entry : staged) {
             std::vector<uint8_t> partial = entry.second;
-            if (!faults->maybeCorruptOnPowerLoss("nvstore", &partial))
+            if (!faults->maybeCorruptOnPowerLoss(framId, &partial))
                 continue;
             Record &record = records[entry.first];
             const int target = record.active == 0 ? 1 : 0;

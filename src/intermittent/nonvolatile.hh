@@ -24,10 +24,9 @@
 #include <string>
 #include <vector>
 
+#include "sim/fault_injector.hh"
+
 namespace react {
-namespace sim {
-class FaultInjector;
-}
 namespace snapshot {
 class SnapshotWriter;
 class SnapshotReader;
@@ -48,10 +47,7 @@ class NonVolatileStore
      * hits the *inactive* slot -- committed data stays readable, which
      * is exactly the crash-consistency property the tests verify.
      */
-    void attachFaultInjector(sim::FaultInjector *injector)
-    {
-        faults = injector;
-    }
+    void attachFaultInjector(sim::FaultInjector *injector);
 
     /**
      * Stage a write.  The data does not become visible to read() until
@@ -117,6 +113,8 @@ class NonVolatileStore
     std::map<std::string, std::vector<uint8_t>> staged;
     uint64_t nextVersion = 1;
     sim::FaultInjector *faults = nullptr;
+    /** "nvstore": the FRAM array's torn-write component. */
+    sim::FaultHandle framId;
 };
 
 } // namespace intermittent

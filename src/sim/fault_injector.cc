@@ -118,19 +118,36 @@ isRecoveryEvent(FaultEventKind kind)
 }
 
 FaultInjector::FaultInjector(const FaultPlan &plan, uint64_t seed)
-    : faultPlan(plan), master(seed)
+    : faultPlan(plan), master(seed), harvester(intern("harvester"))
 {
 }
 
-FaultInjector::Component &
-FaultInjector::component(const std::string &name)
+FaultHandle
+FaultInjector::intern(const std::string &name)
 {
-    auto it = components.find(name);
-    if (it != components.end())
-        return it->second;
+    const auto it = slotIndex.find(name);
+    if (it != slotIndex.end())
+        return FaultHandle{it->second};
+    const auto index = static_cast<uint32_t>(slots.size());
+    Slot slot;
+    slot.name = name;
+    slot.tag = fnv1a64(name);
+    slots.push_back(std::move(slot));
+    slotIndex.emplace(name, index);
+    return FaultHandle{index};
+}
 
+const std::string &
+FaultInjector::name(FaultHandle component) const
+{
+    return slots[component.index].name;
+}
+
+void
+FaultInjector::create(Slot &slot)
+{
     Component comp;
-    comp.rng = master.child(fnv1a64(name));
+    comp.rng = master.child(slot.tag);
     comp.driftUpdatedAt = t;
     comp.nextMisreadAt = faultPlan.comparatorMisreadsPerHour > 0.0
         ? t + comp.rng.exponential(3600.0 /
@@ -148,14 +165,8 @@ FaultInjector::component(const std::string &name)
     } else {
         comp.diodeFailsAt = kInfinity;
     }
-    return components.emplace(name, std::move(comp)).first->second;
-}
-
-const FaultInjector::Component *
-FaultInjector::findComponent(const std::string &name) const
-{
-    const auto it = components.find(name);
-    return it == components.end() ? nullptr : &it->second;
+    slot.state = comp;
+    slot.live = true;
 }
 
 void
@@ -167,7 +178,7 @@ FaultInjector::advance(Seconds dt)
 
     if (faultPlan.harvesterDropoutsPerHour <= 0.0)
         return;
-    Rng &rng = component("harvester").rng;
+    Rng &rng = component(harvester).rng;
     if (!dropoutScheduleInit) {
         dropoutScheduleInit = true;
         nextDropoutEdge =
@@ -176,12 +187,12 @@ FaultInjector::advance(Seconds dt)
     while (t >= nextDropoutEdge) {
         if (!dropoutActive) {
             dropoutActive = true;
-            recordEvent(FaultEventKind::HarvesterDropoutBegin, "harvester");
+            recordEvent(FaultEventKind::HarvesterDropoutBegin, harvester);
             nextDropoutEdge +=
                 rng.exponential(faultPlan.harvesterDropoutMeanSeconds.raw());
         } else {
             dropoutActive = false;
-            recordEvent(FaultEventKind::HarvesterDropoutEnd, "harvester");
+            recordEvent(FaultEventKind::HarvesterDropoutEnd, harvester);
             nextDropoutEdge += rng.exponential(
                 3600.0 / faultPlan.harvesterDropoutsPerHour);
         }
@@ -189,49 +200,49 @@ FaultInjector::advance(Seconds dt)
 }
 
 bool
-FaultInjector::switchActuates(const std::string &name)
+FaultInjector::switchActuates(FaultHandle handle)
 {
     if (faultPlan.switchStuckProbability <= 0.0)
         return true;
-    Component &comp = component(name);
+    Component &comp = component(handle);
     if (comp.stuck)
         return false;
     if (comp.rng.chance(faultPlan.switchStuckProbability)) {
         comp.stuck = true;
-        recordEvent(FaultEventKind::SwitchStuck, name);
+        recordEvent(FaultEventKind::SwitchStuck, handle);
         return false;
     }
     return true;
 }
 
 bool
-FaultInjector::isSwitchStuck(const std::string &name) const
+FaultInjector::isSwitchStuck(FaultHandle handle) const
 {
-    const Component *comp = findComponent(name);
-    return comp != nullptr && comp->stuck;
+    const Slot &slot = slots[handle.index];
+    return slot.live && slot.state.stuck;
 }
 
 bool
-FaultInjector::switchDelayed(const std::string &name)
+FaultInjector::switchDelayed(FaultHandle handle)
 {
     if (faultPlan.switchSlowProbability <= 0.0)
         return false;
-    Component &comp = component(name);
+    Component &comp = component(handle);
     if (comp.rng.chance(faultPlan.switchSlowProbability)) {
-        recordEvent(FaultEventKind::SwitchSlow, name);
+        recordEvent(FaultEventKind::SwitchSlow, handle);
         return true;
     }
     return false;
 }
 
 Volts
-FaultInjector::comparatorRead(const std::string &name, Volts actual)
+FaultInjector::comparatorRead(FaultHandle handle, Volts actual)
 {
     if (faultPlan.comparatorDriftVoltsPerSqrtHour <= 0.0 &&
         faultPlan.comparatorMisreadsPerHour <= 0.0) {
         return actual;
     }
-    Component &comp = component(name);
+    Component &comp = component(handle);
     double observed = actual.raw();
 
     if (faultPlan.comparatorDriftVoltsPerSqrtHour > 0.0) {
@@ -259,7 +270,7 @@ FaultInjector::comparatorRead(const std::string &name, Volts actual)
             const double error =
                 comp.rng.uniform(-faultPlan.comparatorMisreadMagnitude,
                                  faultPlan.comparatorMisreadMagnitude);
-            recordEvent(FaultEventKind::ComparatorMisread, name, error);
+            recordEvent(FaultEventKind::ComparatorMisread, handle, error);
             observed += error;
         }
     }
@@ -267,30 +278,30 @@ FaultInjector::comparatorRead(const std::string &name, Volts actual)
 }
 
 double
-FaultInjector::capacitanceFactor(const std::string &name)
+FaultInjector::capacitanceFactor(FaultHandle handle)
 {
     if (faultPlan.capacitanceFadePerHour <= 0.0)
         return 1.0;
-    Component &comp = component(name);
+    Component &comp = component(handle);
     const double rate = faultPlan.capacitanceFadePerHour * comp.agingJitter;
     return std::exp(-rate * t / 3600.0);
 }
 
 double
-FaultInjector::esrMultiplier(const std::string &name)
+FaultInjector::esrMultiplier(FaultHandle handle)
 {
     if (faultPlan.esrRisePerHour <= 0.0)
         return 1.0;
-    Component &comp = component(name);
+    Component &comp = component(handle);
     return 1.0 + faultPlan.esrRisePerHour * comp.agingJitter * t / 3600.0;
 }
 
 DiodeFault
-FaultInjector::diodeFault(const std::string &name)
+FaultInjector::diodeFault(FaultHandle handle)
 {
     if (faultPlan.diodeFailuresPerHour <= 0.0)
         return DiodeFault::None;
-    Component &comp = component(name);
+    Component &comp = component(handle);
     if (t < comp.diodeFailsAt)
         return DiodeFault::None;
     if (!comp.diodeReported) {
@@ -298,7 +309,7 @@ FaultInjector::diodeFault(const std::string &name)
         recordEvent(comp.diodeMode == DiodeFault::Short
                         ? FaultEventKind::DiodeShort
                         : FaultEventKind::DiodeOpen,
-                    name);
+                    handle);
     }
     return comp.diodeMode;
 }
@@ -310,12 +321,12 @@ FaultInjector::filterHarvest(Watts input_power) const
 }
 
 bool
-FaultInjector::maybeCorruptOnPowerLoss(const std::string &name,
+FaultInjector::maybeCorruptOnPowerLoss(FaultHandle handle,
                                        std::vector<uint8_t> *bytes)
 {
     if (faultPlan.framCorruptionPerPowerLoss <= 0.0)
         return false;
-    Component &comp = component(name);
+    Component &comp = component(handle);
     if (!comp.rng.chance(faultPlan.framCorruptionPerPowerLoss))
         return false;
     double where = -1.0;
@@ -327,17 +338,17 @@ FaultInjector::maybeCorruptOnPowerLoss(const std::string &name,
             static_cast<uint8_t>(1u << bit);
         where = static_cast<double>(index);
     }
-    recordEvent(FaultEventKind::FramCorruption, name, where);
+    recordEvent(FaultEventKind::FramCorruption, handle, where);
     return true;
 }
 
 void
-FaultInjector::recordEvent(FaultEventKind kind, const std::string &name,
+FaultInjector::recordEvent(FaultEventKind kind, FaultHandle handle,
                            double magnitude)
 {
     ++kindCounts[static_cast<size_t>(kind)];
     if (eventLog.size() < kMaxLoggedEvents)
-        eventLog.push_back({Seconds(t), kind, name, magnitude});
+        eventLog.push_back({Seconds(t), kind, name(handle), magnitude});
 }
 
 uint64_t
@@ -373,11 +384,18 @@ FaultInjector::save(snapshot::SnapshotWriter &w) const
     w.f64(nextDropoutEdge);
     w.b(dropoutScheduleInit);
 
-    // std::map iterates in key order: deterministic layout.
-    w.u32(static_cast<uint32_t>(components.size()));
-    for (const auto &entry : components) {
-        w.str(entry.first);
-        const Component &comp = entry.second;
+    // Live components in name order (slotIndex is a std::map): the
+    // layout does not depend on the order names were interned in.
+    uint32_t live = 0;
+    for (const Slot &slot : slots)
+        live += slot.live ? 1u : 0u;
+    w.u32(live);
+    for (const auto &entry : slotIndex) {
+        const Slot &slot = slots[entry.second];
+        if (!slot.live)
+            continue;
+        w.str(slot.name);
+        const Component &comp = slot.state;
         snapshot::saveRng(w, comp.rng);
         w.b(comp.stuck);
         w.f64(comp.driftOffset);
@@ -409,11 +427,14 @@ FaultInjector::restore(snapshot::SnapshotReader &r)
     nextDropoutEdge = r.f64();
     dropoutScheduleInit = r.b();
 
-    components.clear();
+    // Interned names (and so every outstanding handle) survive; only the
+    // set of live components and their state come from the snapshot.
+    for (Slot &slot : slots)
+        slot.live = false;
     const uint32_t component_count = r.u32();
     for (uint32_t i = 0; i < component_count; ++i) {
-        const std::string name = r.str();
-        Component comp;
+        Slot &slot = slots[intern(r.str()).index];
+        Component &comp = slot.state;
         snapshot::restoreRng(r, &comp.rng);
         comp.stuck = r.b();
         comp.driftOffset = r.f64();
@@ -423,7 +444,7 @@ FaultInjector::restore(snapshot::SnapshotReader &r)
         comp.diodeFailsAt = r.f64();
         comp.diodeMode = static_cast<DiodeFault>(r.u8());
         comp.diodeReported = r.b();
-        components.emplace(name, std::move(comp));
+        slot.live = true;
     }
 
     eventLog.clear();

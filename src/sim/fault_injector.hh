@@ -28,6 +28,16 @@
  * they first query the injector.  Two runs with the same seed and the
  * same component names replay bit-identical fault schedules.
  *
+ * ## Component handles (no name lookups on the step path)
+ *
+ * Owners resolve each component name to a dense FaultHandle once, with
+ * intern(), when they attach to the injector; every per-step hook then
+ * indexes a vector instead of searching a string-keyed map.  intern()
+ * only registers the name: the component's fault state is still created
+ * lazily at its first use, at that use's time, exactly as if it had been
+ * looked up by name then.  Handles stay valid for the injector's
+ * lifetime, across restore().
+ *
  * Time-driven faults (diode failures, harvester dropouts, comparator
  * misreads) are drawn as Poisson event schedules; per-actuation faults
  * (stuck/slow switches, FRAM torn writes) are Bernoulli draws from the
@@ -158,6 +168,12 @@ struct FaultEvent
     double magnitude = 0.0;
 };
 
+/** Dense handle to one interned component (see FaultInjector::intern). */
+struct FaultHandle
+{
+    uint32_t index = 0;
+};
+
 /**
  * Seeded, deterministic, schedule-driven fault source.  One injector is
  * shared by every component of one experiment; the harness advances its
@@ -177,19 +193,28 @@ class FaultInjector
     void advance(Seconds dt);
 
     /**
+     * Resolve a component name to its handle, registering the name on
+     * first sight.  Creates no fault state and draws nothing: the
+     * component comes to life at its first hook call, so interning
+     * early (at attach time) changes neither the schedule nor save().
+     * The same name always yields the same handle.
+     */
+    FaultHandle intern(const std::string &name);
+
+    /**
      * Draw the outcome of one commanded switch actuation.  A stuck draw
      * is permanent: every later actuation of the same component fails
      * too (the mechanism is jammed).
      *
      * @return true when the switch physically moved.
      */
-    bool switchActuates(const std::string &component);
+    bool switchActuates(FaultHandle component);
 
     /** Whether the component's switch has jammed (no draw; pure query). */
-    bool isSwitchStuck(const std::string &component) const;
+    bool isSwitchStuck(FaultHandle component) const;
 
     /** One-shot draw: the actuation lands one controller poll late. */
-    bool switchDelayed(const std::string &component);
+    bool switchDelayed(FaultHandle component);
 
     /**
      * Pass a voltage through a faulty comparator: applies the
@@ -197,16 +222,16 @@ class FaultInjector
      * when the component's Poisson misread schedule fired since the
      * previous read.  Returns the (non-negative) observed voltage.
      */
-    Volts comparatorRead(const std::string &component, Volts actual);
+    Volts comparatorRead(FaultHandle component, Volts actual);
 
     /** Multiplicative capacitance derating at the current time (<= 1). */
-    double capacitanceFactor(const std::string &component);
+    double capacitanceFactor(FaultHandle component);
 
     /** Multiplicative series-resistance growth at the current time. */
-    double esrMultiplier(const std::string &component);
+    double esrMultiplier(FaultHandle component);
 
-    /** Failure state of the named diode at the current time. */
-    DiodeFault diodeFault(const std::string &component);
+    /** Failure state of the diode at the current time. */
+    DiodeFault diodeFault(FaultHandle component);
 
     /** Gate harvester power through the dropout schedule. */
     Watts filterHarvest(Watts input_power) const;
@@ -220,11 +245,11 @@ class FaultInjector
      *
      * @return true when the record was corrupted.
      */
-    bool maybeCorruptOnPowerLoss(const std::string &component,
+    bool maybeCorruptOnPowerLoss(FaultHandle component,
                                  std::vector<uint8_t> *bytes);
 
     /** Append to the event log (components report recovery actions). */
-    void recordEvent(FaultEventKind kind, const std::string &component,
+    void recordEvent(FaultEventKind kind, FaultHandle component,
                      double magnitude = 0.0);
 
     /** Event log, oldest first (capped; counts stay exact). */
@@ -245,8 +270,11 @@ class FaultInjector
      * dropout machine, every lazily-created component (including its
      * full RNG stream state -- there is no hidden static or
      * thread-local state anywhere in the injector), the event log, and
-     * the exact per-kind counters.  After restore(), every subsequent
-     * draw matches the uninterrupted sequence bit-for-bit.  The plan is
+     * the exact per-kind counters.  Components are written in name
+     * order, and interned-but-unused names not at all.  After restore(),
+     * every subsequent draw matches the uninterrupted sequence
+     * bit-for-bit, and every handle interned before it still names the
+     * same component.  The plan is
      * construction state and must match (validated by the caller's
      * snapshot layout, not here).
      */
@@ -268,13 +296,39 @@ class FaultInjector
         bool diodeReported = false;
     };
 
-    Component &component(const std::string &name);
-    const Component *findComponent(const std::string &name) const;
+    /** One interned name and, once used, its fault state. */
+    struct Slot
+    {
+        std::string name;
+        /** Child-stream tag: FNV-1a of the name. */
+        uint64_t tag = 0;
+        /** Whether the component has been created (first use). */
+        bool live = false;
+        Component state;
+    };
+
+    /** The component's state, created at the current time on first use. */
+    Component &component(FaultHandle handle)
+    {
+        Slot &slot = slots[handle.index];
+        if (!slot.live)
+            create(slot);
+        return slot.state;
+    }
+    void create(Slot &slot);
+    /** The name a handle was interned under. */
+    const std::string &name(FaultHandle component) const;
 
     FaultPlan faultPlan;
     Rng master;
     double t = 0.0;
-    std::map<std::string, Component> components;
+    /** Handle-indexed component slots; never shrinks. */
+    std::vector<Slot> slots;
+    /** Name -> slot index; its key order is the snapshot order. */
+    std::map<std::string, uint32_t> slotIndex;
+    /** The dropout schedule's component; interned by the constructor,
+     *  so it is declared after slots and slotIndex. */
+    FaultHandle harvester;
 
     /** Harvester dropout state machine (advanced with the clock). */
     bool dropoutActive = false;

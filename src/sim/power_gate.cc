@@ -20,8 +20,7 @@ bool
 PowerGate::update(Volts rail_voltage)
 {
     if (faults != nullptr)
-        rail_voltage = faults->comparatorRead("powergate.supervisor",
-                                              rail_voltage);
+        rail_voltage = faults->comparatorRead(supervisorId, rail_voltage);
     if (!on && rail_voltage >= vEnable) {
         on = true;
         return true;
@@ -31,6 +30,14 @@ PowerGate::update(Volts rail_voltage)
         return true;
     }
     return false;
+}
+
+void
+PowerGate::attachFaultInjector(FaultInjector *injector)
+{
+    faults = injector;
+    if (faults != nullptr)
+        supervisorId = faults->intern("powergate.supervisor");
 }
 
 void

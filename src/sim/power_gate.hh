@@ -14,6 +14,7 @@
 
 #include <cstdint>
 
+#include "sim/fault_injector.hh"
 #include "util/units.hh"
 
 namespace react {
@@ -24,8 +25,6 @@ class SnapshotReader;
 namespace sim {
 
 using units::Volts;
-
-class FaultInjector;
 
 /** Voltage-supervisor power gate with enable/brown-out hysteresis. */
 class PowerGate
@@ -69,7 +68,7 @@ class PowerGate
      * comparator then observes the rail through the injector's offset
      * drift and misread model.
      */
-    void attachFaultInjector(FaultInjector *injector) { faults = injector; }
+    void attachFaultInjector(FaultInjector *injector);
 
     /** Serialize the mutable state (enable threshold, gate latch); the
      *  brown-out threshold is construction-fixed and the injector
@@ -82,6 +81,8 @@ class PowerGate
     Volts vBrownout;
     bool on = false;
     FaultInjector *faults = nullptr;
+    /** "powergate.supervisor": the supervisor comparator. */
+    FaultHandle supervisorId;
 };
 
 /**

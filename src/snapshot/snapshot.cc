@@ -30,6 +30,24 @@ storeU64(uint8_t *at, uint64_t v)
         at[i] = static_cast<uint8_t>((v >> (8 * i)) & 0xffu);
 }
 
+/** Big-endian u32: the section CRC trailer's byte order. */
+void
+storeU32BE(uint8_t *at, uint32_t v)
+{
+    at[0] = static_cast<uint8_t>((v >> 24) & 0xffu);
+    at[1] = static_cast<uint8_t>((v >> 16) & 0xffu);
+    at[2] = static_cast<uint8_t>((v >> 8) & 0xffu);
+    at[3] = static_cast<uint8_t>(v & 0xffu);
+}
+
+uint32_t
+fetchU32BE(const uint8_t *at)
+{
+    return (static_cast<uint32_t>(at[0]) << 24) |
+        (static_cast<uint32_t>(at[1]) << 16) |
+        (static_cast<uint32_t>(at[2]) << 8) | static_cast<uint32_t>(at[3]);
+}
+
 uint32_t
 fetchU32(const uint8_t *at)
 {
@@ -111,7 +129,7 @@ walkImage(const std::vector<uint8_t> &image, SectionSink &&sink)
         }
         const size_t payload_start = pos;
         pos += static_cast<size_t>(payload_len);
-        const uint32_t stored_crc = fetchU32(image.data() + pos);
+        const uint32_t stored_crc = fetchU32BE(image.data() + pos);
         pos += 4;
         // The CRC spans the whole section record (name framing included,
         // CRC itself excluded): a flipped name byte is damage too.
@@ -181,11 +199,14 @@ SnapshotWriter::endSection()
     storeU64(image.data() + lengthPos,
              static_cast<uint64_t>(payload_len));
     // CRC over the whole section record so the name framing is guarded
-    // too, matching walkImage().
+    // too, matching walkImage().  Stored big-endian: a little-endian
+    // CRC-32 trailer makes the CRC of the record-plus-trailer a constant
+    // (the CRC residue), so a CRC over the whole image -- the
+    // stateDigest -- would see only the header and section lengths.
     const uint32_t crc =
         crc32(image.data() + sectionPos, image.size() - sectionPos);
     uint8_t crc_bytes[4];
-    storeU32(crc_bytes, crc);
+    storeU32BE(crc_bytes, crc);
     put(crc_bytes, 4);
     lengthPos = SIZE_MAX;
     ++sectionCount;

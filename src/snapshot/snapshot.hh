@@ -23,15 +23,23 @@
  *              u64 payload length (little-endian)
  *              ... payload
  *              u32 CRC-32 of the section record above (name length,
- *                  name, payload length, payload; little-endian)
+ *                  name, payload length, payload; BIG-endian)
  *
- * All integers are little-endian; doubles are stored as their IEEE-754
- * bit pattern (bit-exact round trip).  Each section's CRC covers its
- * entire record -- a flipped byte anywhere but the header is a CRC
- * mismatch -- and the header's section count makes a file truncated at
- * a clean section boundary detectable too.  SnapshotReader validates
- * the whole image in its constructor and throws SnapshotError on any
- * damage, before any component sees a byte of it.
+ * All other integers are little-endian; doubles are stored as their
+ * IEEE-754 bit pattern (bit-exact round trip).  The CRC trailer is
+ * big-endian on purpose: with a little-endian trailer, the CRC-32 of a
+ * record followed by its own CRC is a constant (the CRC residue), so a
+ * CRC over a whole image -- ExperimentResult::stateDigest -- would
+ * depend only on the header and the section lengths, not on the state.
+ * Format version 1 had that trailer; its files are rejected with a
+ * version diagnostic and the caller cold-starts.
+ *
+ * Each section's CRC covers its entire record -- a flipped byte
+ * anywhere but the header is a CRC mismatch -- and the header's section
+ * count makes a file truncated at a clean section boundary detectable
+ * too.  SnapshotReader validates the whole image in its constructor and
+ * throws SnapshotError on any damage, before any component sees a byte
+ * of it.
  *
  * ## Atomic file protocol
  *
@@ -61,8 +69,9 @@ namespace snapshot {
 
 /** Format magic: "RSNP" read as a little-endian u32. */
 constexpr uint32_t kMagic = 0x504e5352u;
-/** Bumped on any incompatible wire-format change. */
-constexpr uint32_t kFormatVersion = 1;
+/** Bumped on any incompatible wire-format change (2: big-endian
+ *  section CRC trailer). */
+constexpr uint32_t kFormatVersion = 2;
 
 /** Raised on any validation failure (bad magic, wrong version, CRC
  *  mismatch, truncation, section-order or read-size mismatch).  Always

@@ -11,15 +11,20 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "harness/checkpoint.hh"
 #include "harness/experiment.hh"
+#include "harness/grid.hh"
 #include "harness/paper_setup.hh"
 #include "harvest/frontend.hh"
 #include "snapshot/snapshot.hh"
 #include "trace/power_trace.hh"
+#include "util/crc32.hh"
 #include "util/rng.hh"
 
 namespace react {
@@ -120,6 +125,28 @@ TEST(SnapshotFormat, RejectsWrongMagicAndVersion)
     EXPECT_THROW(SnapshotReader{image}, SnapshotError);
 }
 
+TEST(SnapshotFormat, ImageDigestSeesThePayload)
+{
+    // Images with one layout (names, lengths) but different payloads
+    // must hash apart under a CRC over the whole image -- the way
+    // ExperimentResult::stateDigest is computed.  A little-endian CRC
+    // trailer would collapse them all to one value (the CRC residue).
+    std::set<uint32_t> digests;
+    for (uint64_t v = 0; v < 64; ++v) {
+        SnapshotWriter w;
+        w.beginSection("state");
+        w.u64(v);
+        w.f64(static_cast<double>(v) * 0.25);
+        w.endSection();
+        w.beginSection("tail");
+        w.u32(static_cast<uint32_t>(v));
+        w.endSection();
+        const std::vector<uint8_t> image = w.finish();
+        digests.insert(crc32(image.data(), image.size()));
+    }
+    EXPECT_EQ(digests.size(), 64u);
+}
+
 TEST(SnapshotFormat, ValidateImageMatchesReaderVerdict)
 {
     std::string error;
@@ -186,12 +213,31 @@ TEST(SnapshotRng, SaveRestoreDrawIsBitIdentical)
     }
 }
 
+TEST(StateDigest, DiffersBetweenCellsWithDifferentFinalState)
+{
+    const harness::ExperimentResult small = harness::runGridCell(
+        harness::BufferKind::Static770uF,
+        harness::BenchmarkKind::DataEncryption, trace::PaperTrace::RfCart);
+    const harness::ExperimentResult large = harness::runGridCell(
+        harness::BufferKind::Static10mF,
+        harness::BenchmarkKind::DataEncryption, trace::PaperTrace::RfCart);
+    ASSERT_NE(small.residualEnergy, large.residualEnergy);
+    EXPECT_NE(small.stateDigest, large.stateDigest);
+}
+
 class SnapshotFileTest : public ::testing::Test
 {
   protected:
     void SetUp() override
     {
-        dir = fs::temp_directory_path() / "react_snapshot_test";
+        // ctest runs each case as its own process, possibly in parallel:
+        // a per-test, per-process directory keeps them from sharing (and
+        // deleting) one another's files.
+        const auto *info =
+            ::testing::UnitTest::GetInstance()->current_test_info();
+        dir = fs::temp_directory_path() /
+            ("react_snapshot_test." + std::string(info->name()) + "." +
+             std::to_string(::getpid()));
         fs::create_directories(dir);
         path = (dir / "state.snap").string();
     }
