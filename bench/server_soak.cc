@@ -9,7 +9,8 @@
  * crash_fuzz way -- by actually doing all of those things at once:
  *
  *  1. Golden: every job's result is computed by a direct, in-process
- *     runGridCell() and encoded to its canonical wire bytes.
+ *     runGridCell() and encoded with harness::encodeResult (the bytes
+ *     reactd serves).
  *  2. Soak: a reactd child (this binary re-exec'd with --serve,
  *     checkpointing to --dir) serves the same jobs to a client whose
  *     transport injects faults on a seeded schedule, while a killer
@@ -238,9 +239,7 @@ soakMain(const Options &options)
         const harness::ExperimentResult direct = harness::runGridCell(
             spec.buffer, spec.bench, spec.trace, spec.toConfig(),
             spec.baseSeed);
-        net::WireWriter w;
-        net::encodeResult(w, direct);
-        golden.push_back(w.take());
+        golden.push_back(harness::encodeResult(direct));
     }
 
     ServerProcess server(selfExecutable(), socket_path,

@@ -74,7 +74,8 @@ class EnergyBuffer
     /** Cumulative energy accounting since the last reset. */
     const sim::EnergyLedger &ledger() const { return energyLedger; }
 
-    /** Return to the cold-start state (all charge gone, ledger cleared). */
+    /** Return to the cold-start state: all charge gone, ledger cleared,
+     *  and every capacitance back at its nominal (unfaded) value. */
     virtual void reset() = 0;
 
     /**

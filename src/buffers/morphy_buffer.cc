@@ -277,6 +277,9 @@ void
 MorphyBuffer::reset()
 {
     task.setVoltage(Volts(0.0));
+    // Nominal task capacitance, as in StaticBuffer::reset().
+    if (task.capacitance() != params.taskCap.capacitance)
+        task.setCapacitance(params.taskCap.capacitance);
     for (int i = 0; i < network.unitCount(); ++i)
         network.setUnitVoltage(i, Volts(0.0));
     network.reconfigureShared(&configs[0]);  // ladder entry 0 is empty

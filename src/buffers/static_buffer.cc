@@ -114,6 +114,11 @@ void
 StaticBuffer::reset()
 {
     cap.setVoltage(Volts(0.0));
+    // A cold start runs on nominal parts: undo any fade that aging or a
+    // restored snapshot left (compared first, so a fresh capacitor keeps
+    // its warm leak cache).
+    if (cap.capacitance() != baseCapacitance)
+        cap.setCapacitance(baseCapacitance);
     agingAccumulator = Seconds(0.0);
     energyLedger = sim::EnergyLedger();
 }

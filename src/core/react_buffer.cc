@@ -648,9 +648,16 @@ void
 ReactBuffer::reset()
 {
     lastLevel.setVoltage(Volts(0.0));
-    for (auto &bank : banks) {
+    // Nominal capacitances, as in StaticBuffer::reset().
+    if (lastLevel.capacitance() != cfg.lastLevel.capacitance)
+        lastLevel.setCapacitance(cfg.lastLevel.capacitance);
+    for (size_t i = 0; i < banks.size(); ++i) {
+        CapacitorBank &bank = banks[i];
         bank.setUnitVoltage(Volts(0.0));
         bank.setState(BankState::Disconnected);
+        const Farads nominal = cfg.banks[i].unit.capacitance;
+        if (bank.spec().unit.capacitance != nominal)
+            bank.setUnitCapacitance(nominal);
     }
     level = 0;
     requestedLevel = 0;

@@ -3,15 +3,11 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
-#include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
-#include "harness/paper_setup.hh"
-#include "snapshot/snapshot.hh"
-#include "util/crc32.hh"
 #include "util/determinism.hh"
 #include "util/logging.hh"
 
@@ -58,37 +54,29 @@ wallNowNs()
         std::chrono::duration_cast<std::chrono::nanoseconds>(t).count());
 }
 
-/** Per-lane control-plane state runExperiment keeps in locals, one
- *  copy per cell -- the *cold* part: objects and event state the hot
- *  loop only touches when something happens (a tick, a gate flip, a
- *  span roll).  Per-step scalars live in Engine::Hot instead. */
+/** One lane's cold state: the cell's control plane (shared with
+ *  runExperiment) plus the span cursor.  The hot loop only touches it
+ *  when something happens (a tick, a gate flip, a span roll); per-step
+ *  scalars live in Engine::Hot instead. */
 struct Lane
 {
     Lane(const BatchCell &cell, const ExperimentConfig &config)
-        : buffer(cell.buffer), benchmark(cell.benchmark),
-          frontend(cell.frontend), result(cell.result),
-          device(backendSpec()),
-          gate(units::Volts(config.enableVoltage),
-               units::Volts(config.brownoutVoltage))
+        : run(*cell.buffer, cell.benchmark, *cell.frontend, config),
+          buffer(cell.buffer), out(cell.result)
     {
     }
 
+    CellRun run;
+    /** run.buffer, typed for the lane physics state. */
     buffer::StaticBuffer *buffer;
-    workload::Benchmark *benchmark;
-    const harvest::HarvesterFrontend *frontend;
-    ExperimentResult *result;
-    mcu::Device device;
-    sim::PowerGate gate;
-    std::unique_ptr<sim::FaultInjector> injector;
-    workload::BenchContext ctx;
+    /** Where the finished result goes. */
+    ExperimentResult *out;
     /** Precompiled per-step at-buffer power (admission-time; the hot
      *  loop sweeps it linearly, no per-step trace/converter work). */
     std::vector<trace::StepSpan> spans;
     size_t spanIdx = 0;
     /** The current span's power, the injector filter's input. */
     double spanPower = 0.0;
-    double storedStart = 0.0;
-    double nextRecord = 0.0;
 };
 
 /** The lane voltage is the compute truth while a cell is batched; sync
@@ -99,92 +87,6 @@ syncLaneVoltage(Lane &lane, const sim::BatchStepper &stepper, int slot)
 {
     lane.buffer->laneCapacitor().setVoltage(
         units::Volts(stepper.voltage(slot)));
-}
-
-/** runExperiment's finalization tail, statement for statement. */
-void
-finalizeLane(Lane &lane, sim::BatchStepper &stepper, int slot,
-             const ExperimentConfig &config, double t, uint64_t steps)
-{
-    ExperimentResult &result = *lane.result;
-    result.totalTime = t;
-    result.steps = steps;
-    result.powerCycles = lane.device.powerCycles();
-    if (lane.benchmark) {
-        result.workUnits = lane.benchmark->workUnits();
-        result.packetsRx = lane.benchmark->packetsReceived();
-        result.packetsTx = lane.benchmark->packetsSent();
-        result.failedOps = lane.benchmark->failedOperations();
-        result.missedEvents = lane.benchmark->missedEvents();
-    }
-
-    // Write the lane physics state back: voltage, then the four ledger
-    // accumulators the kernel carried (faultLoss accrued directly on
-    // the buffer's ledger via laneStepAging; the rest were never
-    // touched, exactly as in per-cell stepping).
-    syncLaneVoltage(lane, stepper, slot);
-    sim::EnergyLedger &ledger = lane.buffer->laneLedger();
-    ledger.leaked = units::Joules(stepper.leaked(slot));
-    ledger.harvested = units::Joules(stepper.harvested(slot));
-    ledger.delivered = units::Joules(stepper.delivered(slot));
-    ledger.clipped = units::Joules(stepper.clipped(slot));
-
-    result.ledger = lane.buffer->ledger();
-    result.residualEnergy = lane.buffer->storedEnergy().raw();
-
-    result.conservationError =
-        result.ledger
-            .conservationError(units::Joules(result.residualEnergy -
-                                             lane.storedStart))
-            .raw();
-    const double tolerance =
-        1e-9 * std::max(1.0, result.ledger.harvested.raw());
-    if (std::abs(result.conservationError) > tolerance) {
-        if (config.strictConservation) {
-            react_panic("energy ledger violated conservation: error %.3e J "
-                        "(harvested %.3e J, tolerance %.3e J)",
-                        result.conservationError,
-                        result.ledger.harvested.raw(), tolerance);
-        }
-        react_warn("energy ledger conservation error %.3e J exceeds "
-                   "tolerance %.3e J (%s / %s / %s)",
-                   result.conservationError, tolerance,
-                   result.bufferName.c_str(),
-                   result.benchmarkName.c_str(),
-                   result.traceName.c_str());
-    }
-
-    if (lane.injector) {
-        result.faultEvents = lane.injector->faultCount();
-        result.recoveryEvents = lane.injector->recoveryCount();
-        result.banksRetired = static_cast<int>(
-            lane.injector->eventCount(sim::FaultEventKind::BankRetired));
-        result.framRecoveries = static_cast<int>(
-            lane.injector->eventCount(sim::FaultEventKind::FramRecovery));
-        result.faultLog = lane.injector->events();
-    }
-
-    {
-        snapshot::SnapshotWriter dw;
-        dw.beginSection("digest");
-        lane.gate.save(dw);
-        lane.device.save(dw);
-        lane.buffer->save(dw);
-        if (lane.benchmark)
-            lane.benchmark->save(dw);
-        if (lane.injector)
-            lane.injector->save(dw);
-        dw.endSection();
-        const std::vector<uint8_t> image = dw.finish();
-        result.stateDigest = crc32(image.data(), image.size());
-    }
-    // No finished-checkpoint write: admission requires an empty
-    // checkpointPath, where runExperiment skips it too.
-
-    if (lane.injector) {
-        lane.buffer->attachFaultInjector(nullptr);
-        lane.gate.attachFaultInjector(nullptr);
-    }
 }
 
 /**
@@ -366,29 +268,6 @@ Engine::admit(int slot)
     Lane &lane = *slots[static_cast<size_t>(slot)];
     const uint8_t bit = static_cast<uint8_t>(1u << slot);
 
-    // runExperiment's preamble.
-    lane.buffer->reset();
-    if (lane.benchmark)
-        lane.benchmark->reset();
-    if (config.faultPlan.enabled()) {
-        lane.injector = std::make_unique<sim::FaultInjector>(
-            config.faultPlan, config.faultSeed);
-        lane.buffer->attachFaultInjector(lane.injector.get());
-        lane.gate.attachFaultInjector(lane.injector.get());
-    }
-    lane.storedStart = lane.buffer->storedEnergy().raw();
-
-    *lane.result = ExperimentResult();
-    lane.result->bufferName = lane.buffer->name();
-    lane.result->benchmarkName =
-        lane.benchmark ? lane.benchmark->name() : "(none)";
-    lane.result->traceName = lane.frontend->trace().name();
-
-    lane.ctx.device = &lane.device;
-    lane.ctx.buffer = lane.buffer;
-    lane.ctx.dt = config.dt;
-    lane.ctx.workScale = 1.0 - lane.buffer->softwareOverheadFraction();
-
     // Transpose the cell's physics state into the lane arrays and
     // mirror its (freshly reset, off) gate into the lane bank.
     const sim::Capacitor &cap = lane.buffer->laneCapacitor();
@@ -408,18 +287,18 @@ Engine::admit(int slot)
     bank.vBrownout[slot] = config.brownoutVoltage;
     bank.onMask &= static_cast<uint8_t>(~bit);
     occupied |= bit;
-    if (lane.injector) {
+    if (lane.run.injector) {
         injectorMask |= bit;
         bank.liveMask &= static_cast<uint8_t>(~bit);
     } else {
         injectorMask &= static_cast<uint8_t>(~bit);
         bank.liveMask |= bit;
     }
-    if (lane.benchmark)
+    if (lane.run.benchmark)
         benchMask |= bit;
     else
         benchMask &= static_cast<uint8_t>(~bit);
-    if (lane.benchmark && lane.benchmark->tickObservesBuffer())
+    if (lane.run.benchmark && lane.run.benchmark->tickObservesBuffer())
         tickSyncMask |= bit;
     else
         tickSyncMask &= static_cast<uint8_t>(~bit);
@@ -431,16 +310,16 @@ Engine::admit(int slot)
     // Precompile the frontend into power spans (the per-step trace
     // index arithmetic and converter evaluation happen here, once per
     // distinct sample run, instead of once per step).
-    lane.frontend->compileStepSpans(config.dt, lane.spans);
+    lane.run.frontend.compileStepSpans(config.dt, lane.spans);
     lane.spanIdx = 0;
     lane.spanPower = lane.spans[0].watts;
     hot.rollStep[slot] = lane.spans[0].steps == trace::StepSpan::kOpenEnded
         ? UINT64_MAX
         : 1 + lane.spans[0].steps;
-    if (!lane.injector)
+    if (!lane.run.injector)
         stepper.setHarvestPower(slot, lane.spanPower);
 
-    const double duration = lane.frontend->traceDuration().raw();
+    const double duration = lane.run.frontend.traceDuration().raw();
     hot.t[slot] = config.dt;
     hot.onTime[slot] = 0.0;
     hot.endT[slot] = duration;
@@ -448,7 +327,6 @@ Engine::admit(int slot)
     hot.armT[slot] = duration;
     hot.steps[slot] = 1;
     hot.lastOnStep[slot] = 0;
-    lane.nextRecord = 0.0;
 
     // First-step control head (the classic loop head at t = dt) --
     // svcPre also computes the initial wake targets -- then the
@@ -462,9 +340,24 @@ Engine::admit(int slot)
 void
 Engine::retire(Lane &lane, int slot)
 {
-    lane.result->onTime = hot.onTime[slot];
-    finalizeLane(lane, stepper, slot, config, hot.t[slot],
-                 hot.steps[slot]);
+    // Write the lane physics state back before the shared finish:
+    // voltage, then the four ledger accumulators the kernel carried
+    // (faultLoss accrued directly on the buffer's ledger via
+    // laneStepAging; the rest were never touched, exactly as in
+    // per-cell stepping).
+    syncLaneVoltage(lane, stepper, slot);
+    sim::EnergyLedger &ledger = lane.buffer->laneLedger();
+    ledger.leaked = units::Joules(stepper.leaked(slot));
+    ledger.harvested = units::Joules(stepper.harvested(slot));
+    ledger.delivered = units::Joules(stepper.delivered(slot));
+    ledger.clipped = units::Joules(stepper.clipped(slot));
+
+    lane.run.result.steps = hot.steps[slot];
+    lane.run.result.onTime = hot.onTime[slot];
+    lane.run.finish(hot.t[slot]);
+    // No finished-checkpoint write: admission requires an empty
+    // checkpointPath, where runExperiment skips it too.
+    *lane.out = std::move(lane.run.result);
     stepper.freezeLane(slot);
     hot.wakeStep[slot] = UINT64_MAX;
     const uint8_t bit = static_cast<uint8_t>(1u << slot);
@@ -493,7 +386,7 @@ inline void
 Engine::svcWorkload(int s)
 {
     const uint8_t bit = static_cast<uint8_t>(1u << s);
-    const bool on = (injectorMask & bit) != 0 ? slots[s]->gate.isOn()
+    const bool on = (injectorMask & bit) != 0 ? slots[s]->run.gate.isOn()
                                               : bank.isOn(s);
     if (on) {
         hot.onTime[s] += config.dt;
@@ -502,11 +395,11 @@ Engine::svcWorkload(int s)
             Lane &lane = *slots[s];
             if ((tickSyncMask & bit) != 0)
                 syncLaneVoltage(lane, stepper, s);
-            lane.ctx.now = hot.t[s];
-            lane.benchmark->tick(lane.ctx);
+            lane.run.ctx.now = hot.t[s];
+            lane.run.benchmark->tick(lane.run.ctx);
             dirtyMask |= bit;
         } else {
-            slots[s]->device.setState(mcu::PowerState::Active);
+            slots[s]->run.device.setState(mcu::PowerState::Active);
         }
     }
 }
@@ -514,20 +407,10 @@ Engine::svcWorkload(int s)
 inline bool
 Engine::svcBookkeeping(int s)
 {
-    if (config.recordRail) {
-        Lane &lane = *slots[s];
-        if (hot.t[s] >= lane.nextRecord) {
-            lane.nextRecord += config.recordInterval;
-            const uint8_t bit = static_cast<uint8_t>(1u << s);
-            const bool on = (injectorMask & bit) != 0
-                ? lane.gate.isOn()
-                : bank.isOn(s);
-            lane.result->rail.push_back({hot.t[s], stepper.voltage(s), on,
-                                         lane.buffer->capacitanceLevel()});
-        }
-    }
+    if (config.recordRail)
+        slots[s]->run.sampleRail(hot.t[s], stepper.voltage(s));
 
-    if (config.stopAfterLatency && slots[s]->result->latency >= 0.0)
+    if (config.stopAfterLatency && slots[s]->run.result.latency >= 0.0)
         return true;
     if (hot.t[s] >= hot.endT[s]) {
         // The classic exit: past the trace end, leave once the gate
@@ -551,9 +434,11 @@ Engine::svcPre(int s, uint8_t flips)
     if ((injectorMask & bit) != 0) {
         // Comparator reads consume injector randomness, so the
         // authoritative gate runs every step, as in runExperiment.
-        changed = slots[s]->gate.update(units::Volts(stepper.voltage(s)));
+        changed =
+            slots[s]->run.gate.update(units::Volts(stepper.voltage(s)));
     } else if ((flips & bit) != 0) {
-        changed = slots[s]->gate.update(units::Volts(stepper.voltage(s)));
+        changed =
+            slots[s]->run.gate.update(units::Volts(stepper.voltage(s)));
         react_assert(changed, "gate bank flagged a transition the "
                               "authoritative gate did not take");
         bank.toggle(bit);
@@ -562,20 +447,7 @@ Engine::svcPre(int s, uint8_t flips)
         Lane &lane = *slots[s];
         // Hooks may observe the buffer; give it the lane rail.
         syncLaneVoltage(lane, stepper, s);
-        lane.ctx.now = hot.t[s];
-        if (lane.gate.isOn()) {
-            if (lane.result->latency < 0.0)
-                lane.result->latency = hot.t[s];
-            lane.device.setState(mcu::PowerState::Active);
-            lane.buffer->notifyBackendPower(true);
-            if (lane.benchmark)
-                lane.benchmark->onPowerUp(lane.ctx);
-        } else {
-            if (lane.benchmark)
-                lane.benchmark->onPowerDown(lane.ctx);
-            lane.device.setState(mcu::PowerState::Off);
-            lane.buffer->notifyBackendPower(false);
-        }
+        lane.run.gateEdge(hot.t[s]);
         dirtyMask |= bit;
     }
 
@@ -596,10 +468,11 @@ Engine::svcPre(int s, uint8_t flips)
 
     if ((injectorMask & bit) != 0) {
         Lane &lane = *slots[s];
-        lane.injector->advance(units::Seconds(config.dt));
+        lane.run.injector->advance(units::Seconds(config.dt));
         stepper.setHarvestPower(
-            s, lane.injector->filterHarvest(units::Watts(lane.spanPower))
-                   .raw());
+            s,
+            lane.run.injector->filterHarvest(units::Watts(lane.spanPower))
+                .raw());
     }
 
     // Step phase 0 (dielectric aging) runs scalar on the cell's own
@@ -664,7 +537,7 @@ Engine::flushLoads()
 {
     for (uint8_t m = dirtyMask; m != 0; m &= static_cast<uint8_t>(m - 1)) {
         const int s = __builtin_ctz(m);
-        stepper.setLoadCurrent(s, slots[s]->device.current());
+        stepper.setLoadCurrent(s, slots[s]->run.device.current());
     }
     dirtyMask = 0;
 }
@@ -813,10 +686,10 @@ Engine::run(BatchPhaseStats *stats)
                     if ((benchMask & (1u << s)) != 0) {
                         if ((tickSyncMask & (1u << s)) != 0)
                             syncLaneVoltage(lane, stepper, s);
-                        lane.ctx.now = hot.t[s];
-                        lane.benchmark->tick(lane.ctx);
+                        lane.run.ctx.now = hot.t[s];
+                        lane.run.benchmark->tick(lane.run.ctx);
                     } else {
-                        lane.device.setState(mcu::PowerState::Active);
+                        lane.run.device.setState(mcu::PowerState::Active);
                     }
                     if (hot.steps[s] + 1 == hot.rollStep[s]) {
                         const trace::StepSpan &sp =
@@ -832,7 +705,8 @@ Engine::run(BatchPhaseStats *stats)
                     // backend load here (no flip, no injector); lanes
                     // without a benchmark keep their settled current.
                     if ((benchMask & (1u << s)) != 0)
-                        stepper.setLoadCurrent(s, lane.device.current());
+                        stepper.setLoadCurrent(s,
+                                               lane.run.device.current());
                 }
                 for (int s = 0; s < kLanes; ++s) {
                     hot.t[s] += dt;

@@ -44,8 +44,9 @@
  * conservation audit, and the CRC-32 stateDigest -- is bit-identical
  * to runExperiment() running that cell alone: the physics kernel
  * replays the exact scalar operation sequence, the span table replays
- * the exact per-step trace/converter arithmetic, and the control plane
- * replicates runExperiment's loop order statement for statement.
+ * the exact per-step trace/converter arithmetic, and every per-cell
+ * decision -- cold start, gate edges, rail samples, the finish -- is
+ * runExperiment's own, through the shared harness::CellRun.
  * Cells that finish early are frozen in place until their lane
  * refills, so batch composition, batch size, ragged tails, and refill
  * order provably do not affect any cell's numbers

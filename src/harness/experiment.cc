@@ -38,8 +38,39 @@ ExperimentResult::workLostVersus(const ExperimentResult &fault_free) const
 
 namespace {
 
-/** Serialize a complete result (the payload of a "finished" snapshot:
- *  resuming a completed cell returns this instead of re-running). */
+/** Rail recording, as both the result and the mid-run "experiment"
+ *  checkpoint section store it. */
+void
+saveRail(snapshot::SnapshotWriter &w, const std::vector<RailSample> &rail)
+{
+    w.u32(static_cast<uint32_t>(rail.size()));
+    for (const auto &s : rail) {
+        w.f64(s.time);
+        w.f64(s.voltage);
+        w.b(s.backendOn);
+        w.u32(static_cast<uint32_t>(s.level));
+    }
+}
+
+/** The counts come from outside the program when a result travels over
+ *  the wire, so nothing is reserved up front: a lying count runs into
+ *  the section end (SnapshotError) instead of a huge allocation. */
+void
+restoreRail(snapshot::SnapshotReader &r, std::vector<RailSample> *rail)
+{
+    rail->clear();
+    const uint32_t samples = r.u32();
+    for (uint32_t i = 0; i < samples; ++i) {
+        RailSample s;
+        s.time = r.f64();
+        s.voltage = r.f64();
+        s.backendOn = r.b();
+        s.level = static_cast<int>(r.u32());
+        rail->push_back(s);
+    }
+}
+
+/** The "result" section payload (see encodeResult). */
 void
 saveResult(snapshot::SnapshotWriter &w, const ExperimentResult &res)
 {
@@ -70,13 +101,7 @@ saveResult(snapshot::SnapshotWriter &w, const ExperimentResult &res)
         w.str(ev.component);
         w.f64(ev.magnitude);
     }
-    w.u32(static_cast<uint32_t>(res.rail.size()));
-    for (const auto &s : res.rail) {
-        w.f64(s.time);
-        w.f64(s.voltage);
-        w.b(s.backendOn);
-        w.u32(static_cast<uint32_t>(s.level));
-    }
+    saveRail(w, res.rail);
     w.b(res.halted);
     w.u32(res.stateDigest);
 }
@@ -106,75 +131,210 @@ restoreResult(snapshot::SnapshotReader &r, ExperimentResult *res)
     res->framRecoveries = static_cast<int>(r.u32());
     res->faultLog.clear();
     const uint32_t events = r.u32();
-    res->faultLog.reserve(events);
     for (uint32_t i = 0; i < events; ++i) {
         sim::FaultEvent ev;
         ev.time = units::Seconds(r.f64());
-        ev.kind = static_cast<sim::FaultEventKind>(r.u8());
+        const uint8_t kind = r.u8();
+        if (kind > static_cast<uint8_t>(sim::FaultEventKind::FramRecovery))
+            throw snapshot::SnapshotError("fault event kind out of range");
+        ev.kind = static_cast<sim::FaultEventKind>(kind);
         ev.component = r.str();
         ev.magnitude = r.f64();
         res->faultLog.push_back(std::move(ev));
     }
-    res->rail.clear();
-    const uint32_t samples = r.u32();
-    res->rail.reserve(samples);
-    for (uint32_t i = 0; i < samples; ++i) {
-        RailSample s;
-        s.time = r.f64();
-        s.voltage = r.f64();
-        s.backendOn = r.b();
-        s.level = static_cast<int>(r.u32());
-        res->rail.push_back(s);
-    }
+    restoreRail(r, &res->rail);
     res->halted = r.b();
     res->stateDigest = r.u32();
 }
 
 } // namespace
 
+std::vector<uint8_t>
+encodeResult(const ExperimentResult &res)
+{
+    snapshot::SnapshotWriter w;
+    w.beginSection("result");
+    saveResult(w, res);
+    w.endSection();
+    return w.finish();
+}
+
 ExperimentResult
-runExperiment(buffer::EnergyBuffer &buffer, workload::Benchmark *benchmark,
-              const harvest::HarvesterFrontend &frontend,
-              const ExperimentConfig &config)
+decodeResult(std::vector<uint8_t> bytes)
+{
+    snapshot::SnapshotReader r(std::move(bytes));
+    if (r.sectionCount() != 1)
+        throw snapshot::SnapshotError(
+            "a result image holds exactly one section");
+    ExperimentResult res;
+    r.beginSection("result");
+    restoreResult(r, &res);
+    r.endSection();
+    return res;
+}
+
+CellRun::CellRun(buffer::EnergyBuffer &buffer_,
+                 workload::Benchmark *benchmark_,
+                 const harvest::HarvesterFrontend &frontend_,
+                 const ExperimentConfig &config_)
+    : buffer(buffer_), benchmark(benchmark_), frontend(frontend_),
+      config(config_), device(backendSpec()),
+      gate(units::Volts(config_.enableVoltage),
+           units::Volts(config_.brownoutVoltage))
+{
+    coldStart();
+}
+
+CellRun::~CellRun()
+{
+    if (injector)
+        buffer.attachFaultInjector(nullptr);
+}
+
+void
+CellRun::coldStart()
 {
     buffer.reset();
     if (benchmark)
         benchmark->reset();
-
-    mcu::Device device(backendSpec());
-    sim::PowerGate gate(units::Volts(config.enableVoltage),
-                        units::Volts(config.brownoutVoltage));
+    device.reset();
+    gate.reset();
 
     // Fault injection is strictly opt-in: with the all-zero default plan
-    // no injector exists and every code path below is bit-identical to
-    // the fault-free build.
-    std::unique_ptr<sim::FaultInjector> injector;
+    // no injector exists and every code path is bit-identical to the
+    // fault-free build.
     if (config.faultPlan.enabled()) {
         injector = std::make_unique<sim::FaultInjector>(config.faultPlan,
                                                         config.faultSeed);
         buffer.attachFaultInjector(injector.get());
         gate.attachFaultInjector(injector.get());
     }
-    double stored_start = buffer.storedEnergy().raw();
+    storedStart = buffer.storedEnergy().raw();
+    nextRecord = 0.0;
 
-    ExperimentResult result;
+    result = ExperimentResult();
     result.bufferName = buffer.name();
     result.benchmarkName = benchmark ? benchmark->name() : "(none)";
     result.traceName = frontend.trace().name();
 
+    ctx.device = &device;
+    ctx.buffer = &buffer;
+    ctx.dt = config.dt;
+    ctx.workScale = 1.0 - buffer.softwareOverheadFraction();
+}
+
+void
+CellRun::gateEdge(double t)
+{
+    ctx.now = t;
+    if (gate.isOn()) {
+        if (result.latency < 0.0)
+            result.latency = t;
+        device.setState(mcu::PowerState::Active);
+        buffer.notifyBackendPower(true);
+        if (benchmark)
+            benchmark->onPowerUp(ctx);
+    } else {
+        if (benchmark)
+            benchmark->onPowerDown(ctx);
+        device.setState(mcu::PowerState::Off);
+        buffer.notifyBackendPower(false);
+    }
+}
+
+void
+CellRun::sampleRail(double t, double rail_voltage)
+{
+    if (t >= nextRecord) {
+        nextRecord += config.recordInterval;
+        result.rail.push_back(
+            {t, rail_voltage, gate.isOn(), buffer.capacitanceLevel()});
+    }
+}
+
+void
+CellRun::finish(double t)
+{
+    result.totalTime = t;
+    result.powerCycles = device.powerCycles();
+    if (benchmark) {
+        result.workUnits = benchmark->workUnits();
+        result.packetsRx = benchmark->packetsReceived();
+        result.packetsTx = benchmark->packetsSent();
+        result.failedOps = benchmark->failedOperations();
+        result.missedEvents = benchmark->missedEvents();
+    }
+    result.ledger = buffer.ledger();
+    result.residualEnergy = buffer.storedEnergy().raw();
+
+    // Per-run conservation audit: everything harvested must be accounted
+    // for by delivery, booked losses, or the change in stored energy.
+    // (Also valid for a halted partial run: the ledger balances at every
+    // step, not just at the end.)
+    result.conservationError =
+        result.ledger
+            .conservationError(units::Joules(result.residualEnergy -
+                                             storedStart))
+            .raw();
+    const double tolerance =
+        1e-9 * std::max(1.0, result.ledger.harvested.raw());
+    if (std::abs(result.conservationError) > tolerance) {
+        if (config.strictConservation) {
+            react_panic("energy ledger violated conservation: error %.3e J "
+                        "(harvested %.3e J, tolerance %.3e J)",
+                        result.conservationError,
+                        result.ledger.harvested.raw(), tolerance);
+        }
+        react_warn("energy ledger conservation error %.3e J exceeds "
+                   "tolerance %.3e J (%s / %s / %s)",
+                   result.conservationError, tolerance,
+                   result.bufferName.c_str(),
+                   result.benchmarkName.c_str(),
+                   result.traceName.c_str());
+    }
+
+    if (injector) {
+        result.faultEvents = injector->faultCount();
+        result.recoveryEvents = injector->recoveryCount();
+        result.banksRetired = static_cast<int>(
+            injector->eventCount(sim::FaultEventKind::BankRetired));
+        result.framRecoveries = static_cast<int>(
+            injector->eventCount(sim::FaultEventKind::FramRecovery));
+        result.faultLog = injector->events();
+    }
+
+    // Fingerprint the complete final state.  Two runs finished from
+    // different checkpoints (or none) are bit-identical iff this digest
+    // and the explicit counters match; the event queue cursors inside
+    // the benchmark make delivery ids part of the fingerprint.
+    snapshot::SnapshotWriter dw;
+    dw.beginSection("digest");
+    gate.save(dw);
+    device.save(dw);
+    buffer.save(dw);
+    if (benchmark)
+        benchmark->save(dw);
+    if (injector)
+        injector->save(dw);
+    dw.endSection();
+    const std::vector<uint8_t> image = dw.finish();
+    result.stateDigest = crc32(image.data(), image.size());
+}
+
+ExperimentResult
+runExperiment(buffer::EnergyBuffer &buffer, workload::Benchmark *benchmark,
+              const harvest::HarvesterFrontend &frontend,
+              const ExperimentConfig &config)
+{
+    CellRun cell(buffer, benchmark, frontend, config);
+    ExperimentResult &result = cell.result;
+    mcu::Device &device = cell.device;
+    sim::PowerGate &gate = cell.gate;
+
     const double trace_duration = frontend.traceDuration().raw();
-    const double work_scale = 1.0 - buffer.softwareOverheadFraction();
 
     double t = 0.0;
     double off_streak = 0.0;
-    double next_record = 0.0;
-
-    const auto detach_injector = [&]() {
-        if (injector) {
-            buffer.attachFaultInjector(nullptr);
-            gate.attachFaultInjector(nullptr);
-        }
-    };
 
     // Snapshot layout.  The meta section pins the experiment identity --
     // including the fault plan, which two cells of one fault sweep may
@@ -200,18 +360,12 @@ runExperiment(buffer::EnergyBuffer &buffer, workload::Benchmark *benchmark,
             w.beginSection("experiment");
             w.f64(t);
             w.f64(off_streak);
-            w.f64(next_record);
-            w.f64(stored_start);
+            w.f64(cell.nextRecord);
+            w.f64(cell.storedStart);
             w.u64(result.steps);
             w.f64(result.latency);
             w.f64(result.onTime);
-            w.u32(static_cast<uint32_t>(result.rail.size()));
-            for (const auto &s : result.rail) {
-                w.f64(s.time);
-                w.f64(s.voltage);
-                w.b(s.backendOn);
-                w.u32(static_cast<uint32_t>(s.level));
-            }
+            saveRail(w, result.rail);
             w.endSection();
             w.beginSection("gate");
             gate.save(w);
@@ -227,9 +381,9 @@ runExperiment(buffer::EnergyBuffer &buffer, workload::Benchmark *benchmark,
                 benchmark->save(w);
                 w.endSection();
             }
-            if (injector) {
+            if (cell.injector) {
                 w.beginSection("injector");
-                injector->save(w);
+                cell.injector->save(w);
                 w.endSection();
             }
         }
@@ -270,28 +424,17 @@ runExperiment(buffer::EnergyBuffer &buffer, workload::Benchmark *benchmark,
                     restoreResult(r, &result);
                     r.endSection();
                     result.resumed = true;
-                    detach_injector();
-                    return result;
+                    return std::move(result);
                 }
                 r.beginSection("experiment");
                 t = r.f64();
                 off_streak = r.f64();
-                next_record = r.f64();
-                stored_start = r.f64();
+                cell.nextRecord = r.f64();
+                cell.storedStart = r.f64();
                 result.steps = r.u64();
                 result.latency = r.f64();
                 result.onTime = r.f64();
-                result.rail.clear();
-                const uint32_t samples = r.u32();
-                result.rail.reserve(samples);
-                for (uint32_t i = 0; i < samples; ++i) {
-                    RailSample s;
-                    s.time = r.f64();
-                    s.voltage = r.f64();
-                    s.backendOn = r.b();
-                    s.level = static_cast<int>(r.u32());
-                    result.rail.push_back(s);
-                }
+                restoreRail(r, &result.rail);
                 r.endSection();
                 r.beginSection("gate");
                 gate.restore(r);
@@ -307,76 +450,37 @@ runExperiment(buffer::EnergyBuffer &buffer, workload::Benchmark *benchmark,
                     benchmark->restore(r);
                     r.endSection();
                 }
-                if (injector) {
+                if (cell.injector) {
                     r.beginSection("injector");
-                    injector->restore(r);
+                    cell.injector->restore(r);
                     r.endSection();
                 }
                 result.resumed = true;
             } catch (const snapshot::SnapshotError &e) {
-                // A structurally mismatched snapshot may have touched
-                // some components before the throw: rebuild everything
-                // so the cold start is a true cold start.
                 react_warn("checkpoint rejected (%s); cold-starting",
                            e.what());
-                result.snapshotDiagnostic +=
-                    std::string("; rejected: ") + e.what();
-                result.resumed = false;
-                buffer.reset();
-                if (benchmark)
-                    benchmark->reset();
-                device.reset();
-                gate.reset();
-                if (injector) {
-                    injector = std::make_unique<sim::FaultInjector>(
-                        config.faultPlan, config.faultSeed);
-                    buffer.attachFaultInjector(injector.get());
-                    gate.attachFaultInjector(injector.get());
-                }
-                stored_start = buffer.storedEnergy().raw();
+                cell.coldStart();
                 t = 0.0;
                 off_streak = 0.0;
-                next_record = 0.0;
-                result.steps = 0;
-                result.latency = -1.0;
-                result.onTime = 0.0;
-                result.rail.clear();
+                result.snapshotFallback = load.usedFallback;
+                result.snapshotDiagnostic = load.diagnostic +
+                    "; rejected: " + e.what();
             }
         }
     }
-
-    workload::BenchContext ctx;
-    ctx.device = &device;
-    ctx.buffer = &buffer;
-    ctx.workScale = work_scale;
 
     while (true) {
         t += config.dt;
         ++result.steps;
 
         // Power gate observes the rail left by the previous step.
-        if (gate.update(buffer.railVoltage())) {
-            ctx.now = t;
-            ctx.dt = config.dt;
-            if (gate.isOn()) {
-                if (result.latency < 0.0)
-                    result.latency = t;
-                device.setState(mcu::PowerState::Active);
-                buffer.notifyBackendPower(true);
-                if (benchmark)
-                    benchmark->onPowerUp(ctx);
-            } else {
-                if (benchmark)
-                    benchmark->onPowerDown(ctx);
-                device.setState(mcu::PowerState::Off);
-                buffer.notifyBackendPower(false);
-            }
-        }
+        if (gate.update(buffer.railVoltage()))
+            cell.gateEdge(t);
 
         units::Watts input_power = frontend.power(units::Seconds(t));
-        if (injector) {
-            injector->advance(units::Seconds(config.dt));
-            input_power = injector->filterHarvest(input_power);
+        if (cell.injector) {
+            cell.injector->advance(units::Seconds(config.dt));
+            input_power = cell.injector->filterHarvest(input_power);
         }
         buffer.step(units::Seconds(config.dt), input_power,
                     units::Amps(device.current()));
@@ -385,9 +489,8 @@ runExperiment(buffer::EnergyBuffer &buffer, workload::Benchmark *benchmark,
             result.onTime += config.dt;
             off_streak = 0.0;
             if (benchmark) {
-                ctx.now = t;
-                ctx.dt = config.dt;
-                benchmark->tick(ctx);
+                cell.ctx.now = t;
+                benchmark->tick(cell.ctx);
             } else {
                 device.setState(mcu::PowerState::Active);
             }
@@ -395,11 +498,8 @@ runExperiment(buffer::EnergyBuffer &buffer, workload::Benchmark *benchmark,
             off_streak += config.dt;
         }
 
-        if (config.recordRail && t >= next_record) {
-            next_record += config.recordInterval;
-            result.rail.push_back({t, buffer.railVoltage().raw(), gate.isOn(),
-                                   buffer.capacitanceLevel()});
-        }
+        if (config.recordRail)
+            cell.sampleRail(t, buffer.railVoltage().raw());
 
         if (config.stopAfterLatency && result.latency >= 0.0)
             break;
@@ -425,72 +525,7 @@ runExperiment(buffer::EnergyBuffer &buffer, workload::Benchmark *benchmark,
             write_checkpoint(false);
     }
 
-    result.totalTime = t;
-    result.powerCycles = device.powerCycles();
-    if (benchmark) {
-        result.workUnits = benchmark->workUnits();
-        result.packetsRx = benchmark->packetsReceived();
-        result.packetsTx = benchmark->packetsSent();
-        result.failedOps = benchmark->failedOperations();
-        result.missedEvents = benchmark->missedEvents();
-    }
-    result.ledger = buffer.ledger();
-    result.residualEnergy = buffer.storedEnergy().raw();
-
-    // Per-run conservation audit: everything harvested must be accounted
-    // for by delivery, booked losses, or the change in stored energy.
-    // (Also valid for a halted partial run: the ledger balances at every
-    // step, not just at the end.)
-    result.conservationError =
-        result.ledger
-            .conservationError(units::Joules(result.residualEnergy -
-                                             stored_start))
-            .raw();
-    const double tolerance =
-        1e-9 * std::max(1.0, result.ledger.harvested.raw());
-    if (std::abs(result.conservationError) > tolerance) {
-        if (config.strictConservation) {
-            react_panic("energy ledger violated conservation: error %.3e J "
-                        "(harvested %.3e J, tolerance %.3e J)",
-                        result.conservationError,
-                        result.ledger.harvested.raw(), tolerance);
-        }
-        react_warn("energy ledger conservation error %.3e J exceeds "
-                   "tolerance %.3e J (%s / %s / %s)",
-                   result.conservationError, tolerance,
-                   result.bufferName.c_str(),
-                   result.benchmarkName.c_str(),
-                   result.traceName.c_str());
-    }
-
-    if (injector) {
-        result.faultEvents = injector->faultCount();
-        result.recoveryEvents = injector->recoveryCount();
-        result.banksRetired = static_cast<int>(
-            injector->eventCount(sim::FaultEventKind::BankRetired));
-        result.framRecoveries = static_cast<int>(
-            injector->eventCount(sim::FaultEventKind::FramRecovery));
-        result.faultLog = injector->events();
-    }
-
-    // Fingerprint the complete final state.  Two runs finished from
-    // different checkpoints (or none) are bit-identical iff this digest
-    // and the explicit counters match; the event queue cursors inside
-    // the benchmark make delivery ids part of the fingerprint.
-    {
-        snapshot::SnapshotWriter dw;
-        dw.beginSection("digest");
-        gate.save(dw);
-        device.save(dw);
-        buffer.save(dw);
-        if (benchmark)
-            benchmark->save(dw);
-        if (injector)
-            injector->save(dw);
-        dw.endSection();
-        const std::vector<uint8_t> image = dw.finish();
-        result.stateDigest = crc32(image.data(), image.size());
-    }
+    cell.finish(t);
 
     // A completed cell leaves a "finished" snapshot behind so resuming
     // it again is instant; a simulated crash leaves whatever periodic
@@ -498,8 +533,7 @@ runExperiment(buffer::EnergyBuffer &buffer, workload::Benchmark *benchmark,
     if (!config.checkpointPath.empty() && !result.halted)
         write_checkpoint(true);
 
-    detach_injector();
-    return result;
+    return std::move(result);
 }
 
 } // namespace harness

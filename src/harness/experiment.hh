@@ -14,6 +14,8 @@
 #ifndef REACT_HARNESS_EXPERIMENT_HH
 #define REACT_HARNESS_EXPERIMENT_HH
 
+#include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -184,6 +186,88 @@ struct ExperimentResult
      */
     uint32_t stateDigest = 0;
     /** @} */
+};
+
+/**
+ * Serialize a complete result: a one-section snapshot image whose
+ * "result" section is byte-identical to the one a finished checkpoint
+ * stores.  This is the one ExperimentResult codec -- finished
+ * checkpoints and reactd's JobResult payload both carry it.  Every
+ * field is included except the operational ones (resumed,
+ * snapshotFallback, snapshotDiagnostic), so a result served from a
+ * resume or a cache is byte-identical to a direct run.
+ */
+std::vector<uint8_t> encodeResult(const ExperimentResult &res);
+
+/**
+ * Decode encodeResult()'s bytes.  The operational fields default.
+ *
+ * @throws snapshot::SnapshotError on any damage: bad header, CRC
+ *         mismatch, truncation, trailing bytes, or a layout mismatch.
+ */
+ExperimentResult decodeResult(std::vector<uint8_t> bytes);
+
+/**
+ * One cell's control plane: the per-cell state and the lifecycle steps
+ * that both experiment loops share -- runExperiment below and the batch
+ * lane engine (batch_runner.hh).  Each loop keeps its own clock, physics
+ * stepping, and exit checks; what happens *to the cell* -- the cold
+ * start, a power-gate edge, a rail sample, and the end-of-run
+ * accounting -- is decided here, once.
+ *
+ * Construction cold-starts the cell.  Destruction detaches the fault
+ * injector from the (caller-owned) buffer.
+ */
+class CellRun
+{
+  public:
+    CellRun(buffer::EnergyBuffer &buffer, workload::Benchmark *benchmark,
+            const harvest::HarvesterFrontend &frontend,
+            const ExperimentConfig &config);
+    ~CellRun();
+
+    CellRun(const CellRun &) = delete;
+    CellRun &operator=(const CellRun &) = delete;
+
+    /**
+     * Reset buffer, benchmark, device, gate, and result to the t = 0
+     * state, with a fresh fault injector when the plan has one.  Also
+     * how a rejected checkpoint degrades: whatever a partial restore
+     * touched is rebuilt, so the cold start is a true cold start.
+     */
+    void coldStart();
+
+    /** Apply the power-gate transition latched by the step at @p t
+     *  (call when gate.update() returned true). */
+    void gateEdge(double t);
+
+    /** Record a rail sample at @p t when one is due (recordRail runs
+     *  only). */
+    void sampleRail(double t, double rail_voltage);
+
+    /**
+     * Close the result at final time @p t: counters, energy ledger,
+     * conservation audit, fault tallies, and stateDigest.  The caller
+     * has already set result.steps and result.onTime and left the
+     * buffer object holding the final physics state.
+     */
+    void finish(double t);
+
+    buffer::EnergyBuffer &buffer;
+    workload::Benchmark *benchmark;
+    const harvest::HarvesterFrontend &frontend;
+    const ExperimentConfig &config;
+    mcu::Device device;
+    sim::PowerGate gate;
+    /** Null unless the fault plan is enabled. */
+    std::unique_ptr<sim::FaultInjector> injector;
+    workload::BenchContext ctx;
+    /** Stored energy at the cold start: the conservation audit's
+     *  baseline. */
+    double storedStart = 0.0;
+    /** Time of the next due rail sample. */
+    double nextRecord = 0.0;
+    ExperimentResult result;
 };
 
 /**

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <thread>
+#include <utility>
 
 #include "util/determinism.hh"
 #include "util/logging.hh"
@@ -169,18 +170,14 @@ Client::runJob(const JobSpec &spec)
                 WireReader r(reply.payload);
                 switch (static_cast<MsgType>(reply.type)) {
                   case MsgType::JobResult: {
-                    const uint64_t got_id = r.u64();
-                    std::vector<uint8_t> result_bytes = r.bytes();
-                    r.expectEnd();
-                    if (got_id != id)
+                    JobResultReply got = parseJobResult(reply.payload);
+                    if (got.jobId != id)
                         throw ProtocolError(
                             "result for wrong job id");
                     JobOutcome outcome;
                     outcome.jobId = id;
-                    WireReader rr(result_bytes);
-                    outcome.result = decodeResult(rr);
-                    rr.expectEnd();
-                    outcome.resultBytes = std::move(result_bytes);
+                    outcome.result = std::move(got.result);
+                    outcome.resultBytes = std::move(got.resultBytes);
                     return outcome;
                   }
                   case MsgType::JobError: {

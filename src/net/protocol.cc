@@ -2,6 +2,7 @@
 
 #include "harness/parallel_runner.hh"
 #include "net/frame.hh"
+#include "snapshot/snapshot.hh"
 
 namespace react {
 namespace net {
@@ -133,74 +134,21 @@ JobSpec::toConfig() const
     return config;
 }
 
-void
-encodeResult(WireWriter &w, const harness::ExperimentResult &res)
+JobResultReply
+parseJobResult(const std::vector<uint8_t> &payload)
 {
-    w.str(res.bufferName);
-    w.str(res.benchmarkName);
-    w.str(res.traceName);
-    w.f64(res.latency);
-    w.f64(res.onTime);
-    w.f64(res.totalTime);
-    w.u64(res.steps);
-    w.u64(res.powerCycles);
-    w.u64(res.workUnits);
-    w.u64(res.packetsRx);
-    w.u64(res.packetsTx);
-    w.u64(res.failedOps);
-    w.u64(res.missedEvents);
-    w.f64(res.ledger.harvested.raw());
-    w.f64(res.ledger.delivered.raw());
-    w.f64(res.ledger.clipped.raw());
-    w.f64(res.ledger.leaked.raw());
-    w.f64(res.ledger.switchLoss.raw());
-    w.f64(res.ledger.diodeLoss.raw());
-    w.f64(res.ledger.overhead.raw());
-    w.f64(res.ledger.faultLoss.raw());
-    w.f64(res.residualEnergy);
-    w.f64(res.conservationError);
-    w.u64(res.faultEvents);
-    w.u64(res.recoveryEvents);
-    w.i64(res.banksRetired);
-    w.i64(res.framRecoveries);
-    w.b(res.halted);
-    w.u32(res.stateDigest);
-}
-
-harness::ExperimentResult
-decodeResult(WireReader &r)
-{
-    harness::ExperimentResult res;
-    res.bufferName = r.str();
-    res.benchmarkName = r.str();
-    res.traceName = r.str();
-    res.latency = r.f64();
-    res.onTime = r.f64();
-    res.totalTime = r.f64();
-    res.steps = r.u64();
-    res.powerCycles = r.u64();
-    res.workUnits = r.u64();
-    res.packetsRx = r.u64();
-    res.packetsTx = r.u64();
-    res.failedOps = r.u64();
-    res.missedEvents = r.u64();
-    res.ledger.harvested = units::Joules(r.f64());
-    res.ledger.delivered = units::Joules(r.f64());
-    res.ledger.clipped = units::Joules(r.f64());
-    res.ledger.leaked = units::Joules(r.f64());
-    res.ledger.switchLoss = units::Joules(r.f64());
-    res.ledger.diodeLoss = units::Joules(r.f64());
-    res.ledger.overhead = units::Joules(r.f64());
-    res.ledger.faultLoss = units::Joules(r.f64());
-    res.residualEnergy = r.f64();
-    res.conservationError = r.f64();
-    res.faultEvents = r.u64();
-    res.recoveryEvents = r.u64();
-    res.banksRetired = static_cast<int>(r.i64());
-    res.framRecoveries = static_cast<int>(r.i64());
-    res.halted = r.b();
-    res.stateDigest = r.u32();
-    return res;
+    WireReader r(payload);
+    JobResultReply reply;
+    reply.jobId = r.u64();
+    reply.resultBytes = r.bytes();
+    r.expectEnd();
+    try {
+        reply.result = harness::decodeResult(reply.resultBytes);
+    } catch (const snapshot::SnapshotError &e) {
+        throw ProtocolError(std::string("malformed result blob: ") +
+                            e.what());
+    }
+    return reply;
 }
 
 std::vector<uint8_t>

@@ -50,8 +50,11 @@ namespace net {
  *  v2: a JobState byte in JobError so clients can tell deadline expiry
  *  from execution failure without string matching.
  *  v3: the result encoding drops the fast-step count, and frame types
- *  13-15 (v2's session-auth handshake) are gone. */
-constexpr uint32_t kProtocolVersion = 3;
+ *  13-15 (v2's session-auth handshake) are gone.
+ *  v4: the JobResult blob is harness::encodeResult's snapshot image
+ *  (rail recording and fault log included), replacing the net-only
+ *  result encoding. */
+constexpr uint32_t kProtocolVersion = 4;
 
 /** Frame types. */
 enum class MsgType : uint8_t
@@ -121,18 +124,23 @@ struct JobSpec
     harness::ExperimentConfig toConfig() const;
 };
 
-/**
- * Encode the portable portion of an experiment result: metrics, energy
- * ledger, fault counters, and the stateDigest bit-identity proof.
- * Operational fields (resumed, snapshotFallback, snapshotDiagnostic,
- * rail recording, fault log) are deliberately excluded so a result
- * served from a checkpoint resume or the cache is byte-identical to a
- * direct run -- that equality is the soak test's acceptance criterion.
- */
-void encodeResult(WireWriter &w, const harness::ExperimentResult &res);
+/** A parsed JobResult payload. */
+struct JobResultReply
+{
+    uint64_t jobId = 0;
+    /** The result blob: harness::encodeResult()'s bytes. */
+    std::vector<uint8_t> resultBytes;
+    /** The blob, decoded. */
+    harness::ExperimentResult result;
+};
 
-/** Decode a result encoded by encodeResult (unlisted fields default). */
-harness::ExperimentResult decodeResult(WireReader &r);
+/**
+ * Parse a JobResult payload (see makeJobResult).  The bytes come from
+ * outside the program, so any damage -- in the payload framing or
+ * inside the result blob -- throws ProtocolError, which clients treat
+ * as a retryable transport failure.
+ */
+JobResultReply parseJobResult(const std::vector<uint8_t> &payload);
 
 /** @name Whole-message builders (payload encoding + framing). @{ */
 std::vector<uint8_t> makeHello();

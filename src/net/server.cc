@@ -304,9 +304,7 @@ Server::Impl::runBatch(std::vector<uint64_t> batch_ids)
                     harness::runGridCell(s->spec.buffer, s->spec.bench,
                                          s->spec.trace, cell_config,
                                          s->spec.baseSeed);
-                WireWriter w;
-                encodeResult(w, result);
-                s->resultBytes = w.take();
+                s->resultBytes = harness::encodeResult(result);
             } catch (const std::exception &e) {
                 s->error = e.what();
             }

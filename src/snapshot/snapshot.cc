@@ -394,6 +394,11 @@ std::string
 SnapshotReader::str()
 {
     const uint32_t n = u32();
+    // Checked before allocating: a length lie must not cost memory.
+    if (n > payloadEnd - cursor)
+        throw SnapshotError("snapshot section '" +
+                            sections[nextSection - 1].name +
+                            "' string overruns its end");
     std::string v(n, '\0');
     if (n > 0)
         take(v.data(), n);

@@ -470,39 +470,60 @@ TEST(BatchStepper, Fig1StyleFourLaneBatchMatchesClassic)
     // Fig. 1's exact shape: four capacitances, no benchmark (backend
     // always active when powered), one shared trace.  The batch must
     // reproduce each solo run bit-for-bit even though the lanes enable,
-    // brown out, and clip at completely different times.
+    // brown out, and clip at completely different times.  The second
+    // configuration is Table 4's latency-only run (stopAfterLatency):
+    // each lane leaves at its first enable, or at the settle/drain exit
+    // when it never starts.
     const auto trace = burstTrace(5e-3, 3, "fig1-style");
     auto cfg = diffConfig();
     cfg.enableVoltage = 3.6;
+    auto latency_cfg = cfg;
+    latency_cfg.stopAfterLatency = true;
     const double caps[] = {1e-3, 10e-3, 100e-3, 300e-3};
-    std::array<ExperimentResult, 4> classic;
-    for (int i = 0; i < 4; ++i) {
-        buffer::StaticBuffer buf(
-            staticBufferSpec(units::Farads(caps[i])), units::Volts(3.6));
-        harvest::HarvesterFrontend frontend(trace);
-        classic[static_cast<size_t>(i)] =
-            runExperiment(buf, nullptr, frontend, cfg);
-    }
-    for (const auto kernel : availableKernels()) {
-        std::array<std::unique_ptr<buffer::StaticBuffer>, 4> bufs;
-        harvest::HarvesterFrontend frontend(trace);
-        std::array<ExperimentResult, 4> results;
-        std::array<BatchCell, 4> batch;
+    for (const ExperimentConfig &config : {cfg, latency_cfg}) {
+        SCOPED_TRACE(config.stopAfterLatency ? "stopAfterLatency"
+                                             : "full run");
+        std::array<ExperimentResult, 4> classic;
         for (int i = 0; i < 4; ++i) {
-            bufs[static_cast<size_t>(i)] =
-                std::make_unique<buffer::StaticBuffer>(
-                    staticBufferSpec(units::Farads(caps[i])),
-                    units::Volts(3.6));
-            batch[static_cast<size_t>(i)] =
-                BatchCell{bufs[static_cast<size_t>(i)].get(), nullptr,
-                          &frontend, &results[static_cast<size_t>(i)]};
+            buffer::StaticBuffer buf(
+                staticBufferSpec(units::Farads(caps[i])), units::Volts(3.6));
+            harvest::HarvesterFrontend frontend(trace);
+            classic[static_cast<size_t>(i)] =
+                runExperiment(buf, nullptr, frontend, config);
         }
-        runExperimentBatch(batch.data(), 4, cfg, kernel);
-        for (int i = 0; i < 4; ++i)
-            expectBitIdentical(results[static_cast<size_t>(i)],
-                               classic[static_cast<size_t>(i)],
-                               std::string(sim::simd::kernelName(kernel)) +
-                                   " cap=" + std::to_string(caps[i]));
+        for (const auto kernel : availableKernels()) {
+            std::array<std::unique_ptr<buffer::StaticBuffer>, 4> bufs;
+            harvest::HarvesterFrontend frontend(trace);
+            std::array<ExperimentResult, 4> results;
+            std::array<BatchCell, 4> batch;
+            for (int i = 0; i < 4; ++i) {
+                bufs[static_cast<size_t>(i)] =
+                    std::make_unique<buffer::StaticBuffer>(
+                        staticBufferSpec(units::Farads(caps[i])),
+                        units::Volts(3.6));
+                batch[static_cast<size_t>(i)] =
+                    BatchCell{bufs[static_cast<size_t>(i)].get(), nullptr,
+                              &frontend, &results[static_cast<size_t>(i)]};
+            }
+            runExperimentBatch(batch.data(), 4, config, kernel);
+            for (int i = 0; i < 4; ++i)
+                expectBitIdentical(
+                    results[static_cast<size_t>(i)],
+                    classic[static_cast<size_t>(i)],
+                    std::string(sim::simd::kernelName(kernel)) +
+                        " cap=" + std::to_string(caps[i]));
+        }
+        if (config.stopAfterLatency) {
+            // Non-vacuous: some lane takes the latency exit, and it
+            // stops at its first enable.
+            const auto started = std::count_if(
+                classic.begin(), classic.end(),
+                [](const ExperimentResult &r) { return r.latency >= 0.0; });
+            EXPECT_GT(started, 0);
+            for (const auto &r : classic)
+                if (r.latency >= 0.0)
+                    EXPECT_EQ(r.totalTime, r.latency);
+        }
     }
 }
 

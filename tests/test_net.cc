@@ -32,6 +32,7 @@
 #include "net/server.hh"
 #include "net/socket.hh"
 #include "net/wire.hh"
+#include "snapshot/snapshot.hh"
 
 namespace react {
 namespace net {
@@ -338,7 +339,10 @@ TEST(JobSpec, JobIdIsStableAndDeadlineIndependent)
     EXPECT_NE(a.jobId(), other_dt.jobId());
 }
 
-TEST(Protocol, ResultCodecRoundTripsEveryField)
+/** A result with every field set, rail recording and fault log
+ *  included. */
+harness::ExperimentResult
+fullResult()
 {
     harness::ExperimentResult res;
     res.bufferName = "REACT";
@@ -364,21 +368,133 @@ TEST(Protocol, ResultCodecRoundTripsEveryField)
     res.framRecoveries = 4;
     res.halted = true;
     res.stateDigest = 0xfad1959b;
+    res.rail.push_back({0.5, 3.25, true, 2});
+    res.rail.push_back({1.0, 1.75, false, 0});
+    sim::FaultEvent stuck;
+    stuck.time = units::Seconds(12.5);
+    stuck.kind = sim::FaultEventKind::SwitchStuck;
+    stuck.component = "react.bank0.switch";
+    stuck.magnitude = 1.0;
+    res.faultLog.push_back(stuck);
+    sim::FaultEvent retired;
+    retired.time = units::Seconds(40.0);
+    retired.kind = sim::FaultEventKind::BankRetired;
+    retired.component = "react.bank0";
+    retired.magnitude = 0.0;
+    res.faultLog.push_back(retired);
+    return res;
+}
 
-    WireWriter w;
-    encodeResult(w, res);
-    WireReader r(w.data());
-    const harness::ExperimentResult back = decodeResult(r);
-    EXPECT_NO_THROW(r.expectEnd());
+TEST(Protocol, ResultCodecRoundTripsEveryField)
+{
+    const harness::ExperimentResult res = fullResult();
 
-    WireWriter w2;
-    encodeResult(w2, back);
+    const std::vector<uint8_t> bytes = harness::encodeResult(res);
+    const harness::ExperimentResult back = harness::decodeResult(bytes);
+
     // One encode-decode-encode cycle is the identity on the wire form.
-    EXPECT_EQ(w.data(), w2.data());
+    EXPECT_EQ(harness::encodeResult(back), bytes);
     EXPECT_EQ(back.stateDigest, res.stateDigest);
     EXPECT_TRUE(back.latency == res.latency);
     EXPECT_TRUE(back.ledger.harvested.raw() ==
                 res.ledger.harvested.raw());
+    EXPECT_EQ(back.banksRetired, res.banksRetired);
+    EXPECT_TRUE(back.halted);
+
+    // The rail recording and the fault log travel too (protocol v4).
+    ASSERT_EQ(back.rail.size(), 2u);
+    EXPECT_TRUE(back.rail[0].time == 0.5);
+    EXPECT_TRUE(back.rail[0].voltage == 3.25);
+    EXPECT_TRUE(back.rail[0].backendOn);
+    EXPECT_EQ(back.rail[0].level, 2);
+    EXPECT_FALSE(back.rail[1].backendOn);
+    ASSERT_EQ(back.faultLog.size(), 2u);
+    EXPECT_TRUE(back.faultLog[0].time.raw() == 12.5);
+    EXPECT_EQ(back.faultLog[0].kind, sim::FaultEventKind::SwitchStuck);
+    EXPECT_EQ(back.faultLog[0].component, "react.bank0.switch");
+    EXPECT_EQ(back.faultLog[1].kind, sim::FaultEventKind::BankRetired);
+}
+
+TEST(Protocol, MalformedResultPayloadsRaiseProtocolError)
+{
+    // A real JobResult payload, exactly as the server frames it.
+    FrameDecoder decoder;
+    const std::vector<uint8_t> frame =
+        makeJobResult(7, harness::encodeResult(fullResult()));
+    decoder.feed(frame.data(), frame.size());
+    Frame reply;
+    ASSERT_TRUE(decoder.next(&reply));
+    const JobResultReply good = parseJobResult(reply.payload);
+    EXPECT_EQ(good.jobId, 7u);
+    const std::vector<uint8_t> blob = good.resultBytes;
+
+    const auto payloadOf = [](const std::vector<uint8_t> &result_blob) {
+        WireWriter w;
+        w.u64(7);
+        w.bytes(result_blob);
+        return w.take();
+    };
+    ASSERT_EQ(payloadOf(blob), reply.payload);
+
+    // Every truncation point of the blob, inside a well-formed payload.
+    for (size_t cut = 0; cut < blob.size(); ++cut) {
+        const std::vector<uint8_t> prefix(blob.begin(),
+                                          blob.begin() +
+                                              static_cast<long>(cut));
+        EXPECT_THROW(parseJobResult(payloadOf(prefix)), ProtocolError)
+            << "blob prefix of " << cut;
+    }
+
+    // One trailing byte after the blob's last section.
+    std::vector<uint8_t> longer = blob;
+    longer.push_back(0);
+    EXPECT_THROW(parseJobResult(payloadOf(longer)), ProtocolError);
+
+    // A flipped length field: the result section's payload length
+    // (after the 12-byte header, the name length byte, and "result")...
+    std::vector<uint8_t> section_lie = blob;
+    section_lie[12 + 1 + 6] ^= 0x01;
+    EXPECT_THROW(parseJobResult(payloadOf(section_lie)), ProtocolError);
+    // ...and the payload's own blob length (after the u64 job id).
+    std::vector<uint8_t> blob_lie = reply.payload;
+    blob_lie[8] ^= 0x01;
+    EXPECT_THROW(parseJobResult(blob_lie), ProtocolError);
+
+    // Lies inside a CRC-valid blob, which only the result decoder's own
+    // checks can catch, before they size an allocation or an enum.  The
+    // "result" section payload is patched and re-framed; with one fault
+    // event (component "x") and no rail samples it ends in
+    // [u8 kind][str "x"][f64 magnitude][u32 rail count][u8][u32].
+    harness::ExperimentResult one_event;
+    sim::FaultEvent event;
+    event.component = "x";
+    one_event.faultLog.push_back(event);
+    const std::vector<uint8_t> image = harness::encodeResult(one_event);
+    const std::vector<uint8_t> section(image.begin() + 12 + 1 + 6 + 8,
+                                       image.end() - 4);
+    const auto patched = [&](size_t from_end,
+                             const std::vector<uint8_t> &bytes) {
+        std::vector<uint8_t> body = section;
+        std::copy(bytes.begin(), bytes.end(),
+                  body.end() - static_cast<long>(from_end));
+        snapshot::SnapshotWriter w;
+        w.beginSection("result");
+        for (const uint8_t byte : body)
+            w.u8(byte);
+        w.endSection();
+        return payloadOf(w.finish());
+    };
+    EXPECT_NO_THROW(parseJobResult(patched(0, {})));
+    // The buffer name's length, the section's first field.
+    EXPECT_THROW(
+        parseJobResult(patched(section.size(), {0xf0, 0xff, 0xff, 0xff})),
+        ProtocolError);
+    // The rail sample count.
+    EXPECT_THROW(parseJobResult(patched(9, {0xff, 0xff, 0xff, 0xff})),
+                 ProtocolError);
+    // The fault event's kind.
+    EXPECT_THROW(parseJobResult(patched(9 + 8 + 5 + 1, {0xff})),
+                 ProtocolError);
 }
 
 // ---------------------------------------------------------------------
@@ -519,9 +635,7 @@ directResultBytes(const JobSpec &spec)
     const harness::ExperimentResult direct = harness::runGridCell(
         spec.buffer, spec.bench, spec.trace, spec.toConfig(),
         spec.baseSeed);
-    WireWriter w;
-    encodeResult(w, direct);
-    return w.take();
+    return harness::encodeResult(direct);
 }
 
 TEST_F(NetIntegration, ServedResultIsByteIdenticalToDirectRun)
@@ -533,9 +647,7 @@ TEST_F(NetIntegration, ServedResultIsByteIdenticalToDirectRun)
     EXPECT_EQ(outcome.resultBytes, directResultBytes(spec));
     // The decoded result re-encodes to the same bytes (codec identity
     // holds on real data, not just the synthetic round-trip test).
-    WireWriter w;
-    encodeResult(w, outcome.result);
-    EXPECT_EQ(w.data(), outcome.resultBytes);
+    EXPECT_EQ(harness::encodeResult(outcome.result), outcome.resultBytes);
 }
 
 TEST_F(NetIntegration, ResubmissionHitsTheCacheWithIdenticalBytes)

@@ -444,6 +444,77 @@ TEST_F(SnapshotFileTest, MismatchedCheckpointColdStartsWithDiagnostic)
     EXPECT_GT(result.steps, 0u);
 }
 
+/** Re-write a snapshot image with section @p cut_name cut to half its
+ *  payload, every CRC valid: damage only a restore can see. */
+std::vector<uint8_t>
+withShortSection(const std::vector<uint8_t> &image,
+                 const std::string &cut_name)
+{
+    SnapshotWriter w;
+    size_t pos = 12;  // past the header
+    while (pos < image.size()) {
+        const size_t name_len = image[pos++];
+        const std::string name(image.begin() + static_cast<long>(pos),
+                               image.begin() +
+                                   static_cast<long>(pos + name_len));
+        pos += name_len;
+        uint64_t len = 0;
+        for (int b = 0; b < 8; ++b)
+            len |= static_cast<uint64_t>(image[pos + b]) << (8 * b);
+        pos += 8;
+        const size_t keep = name == cut_name ? len / 2 : len;
+        w.beginSection(name);
+        for (size_t i = 0; i < keep; ++i)
+            w.u8(image[pos + i]);
+        w.endSection();
+        pos += len + 4;  // payload + CRC trailer
+    }
+    return w.finish();
+}
+
+TEST_F(SnapshotFileTest, LateRejectedFaultedCheckpointColdStartsOnNominalParts)
+{
+    // A faulted mid-run checkpoint that fails only at its injector
+    // section: by then the buffer section has restored fade-derated
+    // capacitances.  The cold start that follows must still run on
+    // nominal parts, i.e. equal a plain run exactly.
+    CellFixture cell;
+    cell.config.faultPlan.capacitanceFadePerHour = 50.0;
+    const auto plain = cell.run(cell.config);
+    ASSERT_GT(plain.steps, 5000u);
+
+    auto crash_cfg = cell.config;
+    crash_cfg.checkpointPath = path;
+    crash_cfg.checkpointEverySteps = 1000;
+    crash_cfg.haltAfterSteps = plain.steps / 2;
+    ASSERT_TRUE(cell.run(crash_cfg).halted);
+
+    const SnapshotLoad load = loadSnapshotFile(path);
+    ASSERT_TRUE(load.ok);
+    ASSERT_TRUE(
+        saveSnapshotFile(path, withShortSection(load.image, "injector")));
+
+    auto resume_cfg = cell.config;
+    resume_cfg.checkpointPath = path;
+    resume_cfg.resume = true;
+    const auto resumed = cell.run(resume_cfg);
+    EXPECT_FALSE(resumed.resumed);
+    EXPECT_NE(resumed.snapshotDiagnostic.find("rejected"),
+              std::string::npos);
+    EXPECT_NE(resumed.snapshotDiagnostic.find("injector"),
+              std::string::npos);
+    EXPECT_EQ(resumed.stateDigest, plain.stateDigest);
+    EXPECT_EQ(resumed.steps, plain.steps);
+    EXPECT_EQ(resumed.powerCycles, plain.powerCycles);
+    EXPECT_EQ(resumed.workUnits, plain.workUnits);
+    EXPECT_EQ(resumed.missedEvents, plain.missedEvents);
+    EXPECT_EQ(resumed.latency, plain.latency);
+    EXPECT_EQ(resumed.onTime, plain.onTime);
+    EXPECT_EQ(resumed.ledger.harvested.raw(), plain.ledger.harvested.raw());
+    EXPECT_EQ(resumed.ledger.faultLoss.raw(), plain.ledger.faultLoss.raw());
+    EXPECT_EQ(resumed.residualEnergy, plain.residualEnergy);
+}
+
 TEST(CheckpointEnv, FileNameSanitizesCellKeys)
 {
     EXPECT_EQ(harness::checkpointFileName("DE:RF Cart:REACT"),
