@@ -7,6 +7,11 @@
  * Paper headlines: REACT beats the equally-reactive 770 uF buffer by
  * 39.1 %, the equal-capacity 17 mF buffer by 19.3 %, the next-best
  * 10 mF buffer by 18.8 %, and Morphy by 26.2 %.
+ *
+ * `--csv <path>` also writes every cell's full result (%.17g, one row
+ * per benchmark x trace x buffer) for the golden suite: the only
+ * artifact that pins the Morphy ledger and the Packet Forward cells
+ * bit for bit.
  */
 
 #include "bench_common.hh"
@@ -14,12 +19,13 @@
 #include "harness/figure_of_merit.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace react;
     bench::printPreamble(
         "Fig. 7: aggregate figure of merit (normalized to REACT)",
         "Fig. 7 + S 5.5 headline improvements");
+    auto csv = bench::csvFromArgs(argc, argv);
 
     const harness::BenchmarkKind benchmarks[4] = {
         harness::BenchmarkKind::DataEncryption,
@@ -76,6 +82,37 @@ main()
             row.push_back(TextTable::num(s, 3));
         table.addRow(row);
     }
+
+    csv.line("benchmark,trace,buffer,steps,latency,on_time,power_cycles,"
+             "work_units,packets_rx,packets_tx,harvested,delivered,clipped,"
+             "leaked,switch_loss,diode_loss,overhead,fault_loss,"
+             "residual_energy,state_digest");
+    for (size_t bench_idx = 0; bench_idx < 4; ++bench_idx) {
+        for (const auto &trace_row : results[bench_idx]) {
+            for (const auto &r : trace_row) {
+                const auto &l = r.ledger;
+                csv.line(r.benchmarkName + "," + r.traceName + "," +
+                         r.bufferName + "," + std::to_string(r.steps) +
+                         "," + bench::csvNum(r.latency) + "," +
+                         bench::csvNum(r.onTime) + "," +
+                         std::to_string(r.powerCycles) + "," +
+                         std::to_string(r.workUnits) + "," +
+                         std::to_string(r.packetsRx) + "," +
+                         std::to_string(r.packetsTx) + "," +
+                         bench::csvNum(l.harvested.raw()) + "," +
+                         bench::csvNum(l.delivered.raw()) + "," +
+                         bench::csvNum(l.clipped.raw()) + "," +
+                         bench::csvNum(l.leaked.raw()) + "," +
+                         bench::csvNum(l.switchLoss.raw()) + "," +
+                         bench::csvNum(l.diodeLoss.raw()) + "," +
+                         bench::csvNum(l.overhead.raw()) + "," +
+                         bench::csvNum(l.faultLoss.raw()) + "," +
+                         bench::csvNum(r.residualEnergy) + "," +
+                         std::to_string(r.stateDigest));
+            }
+        }
+    }
+    csv.write();
 
     const auto aggregate = harness::averageMerit(per_benchmark);
     table.addSeparator();
