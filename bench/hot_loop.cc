@@ -110,7 +110,7 @@ measureBatchLoop(sim::simd::Kernel kernel, double budget_seconds)
     const sim::CapacitorSpec spec =
         harness::staticBufferSpec(units::Farads(10e-3));
     const sim::Capacitor reference(spec, units::Volts(2.0));
-    sim::BatchStepper stepper(kernel, 1e-3);
+    sim::BatchStepper stepper(kernel, units::Seconds(1e-3));
     for (int lane = 0; lane < sim::BatchStepper::kMaxLanes; ++lane) {
         sim::BatchLaneInit init;
         init.voltage = 2.0 + 0.05 * lane;
@@ -118,8 +118,8 @@ measureBatchLoop(sim::simd::Kernel kernel, double budget_seconds)
         init.clamp = 3.6;
         init.leakDecay = reference.leakDecayFor(units::Seconds(1e-3));
         stepper.addLane(init);
-        stepper.setHarvestPower(lane, 3e-3);
-        stepper.setLoadCurrent(lane, 1e-3);
+        stepper.setHarvestPower(lane, units::Watts(3e-3));
+        stepper.setLoadCurrent(lane, units::Amps(1e-3));
     }
     for (int i = 0; i < 20000; ++i)
         stepper.step();

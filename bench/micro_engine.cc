@@ -197,7 +197,7 @@ runAllocationAudit()
             kernels.push_back(sim::simd::Kernel::Avx512);
         for (const auto kernel : kernels) {
             const uint64_t before = allocCount();
-            sim::BatchStepper stepper(kernel, 1e-3);
+            sim::BatchStepper stepper(kernel, units::Seconds(1e-3));
             for (int lane = 0; lane < sim::BatchStepper::kMaxLanes;
                  ++lane) {
                 sim::BatchLaneInit init;
@@ -206,8 +206,8 @@ runAllocationAudit()
                 init.clamp = 3.6;
                 init.leakDecay = 0.9999999;
                 stepper.addLane(init);
-                stepper.setHarvestPower(lane, 3e-3);
-                stepper.setLoadCurrent(lane, 1e-3);
+                stepper.setHarvestPower(lane, units::Watts(3e-3));
+                stepper.setLoadCurrent(lane, units::Amps(1e-3));
             }
             // No warmup on purpose: the window opens before the first
             // step, covering admission and the post-transpose step.
@@ -215,7 +215,7 @@ runAllocationAudit()
                 stepper.step();
                 benchmark::DoNotOptimize(stepper.voltage(0));
             }
-            stepper.setLaneCapacitance(0, 9.9e-3, 0.9999999);
+            stepper.setLaneCapacitance(0, units::Farads(9.9e-3), 0.9999999);
             stepper.freezeLane(1);
             stepper.step();
             const char *name = kernel == sim::simd::Kernel::Avx512

@@ -135,7 +135,7 @@ class Engine
     Engine(const BatchCell *cells_, int count_,
            const ExperimentConfig &config_, sim::simd::Kernel kernel)
         : cells(cells_), count(count_), config(config_),
-          stepper(kernel, config_.dt)
+          stepper(kernel, units::Seconds(config_.dt))
     {
         // runExperiment accumulates the settle off-streak as repeated
         // "+= dt" from 0.0 and compares >= settleTime.  The partial
@@ -310,14 +310,15 @@ Engine::admit(int slot)
     // Precompile the frontend into power spans (the per-step trace
     // index arithmetic and converter evaluation happen here, once per
     // distinct sample run, instead of once per step).
-    lane.run.frontend.compileStepSpans(config.dt, lane.spans);
+    lane.run.frontend.compileStepSpans(units::Seconds(config.dt),
+                                       lane.spans);
     lane.spanIdx = 0;
     lane.spanPower = lane.spans[0].watts;
     hot.rollStep[slot] = lane.spans[0].steps == trace::StepSpan::kOpenEnded
         ? UINT64_MAX
         : 1 + lane.spans[0].steps;
     if (!lane.run.injector)
-        stepper.setHarvestPower(slot, lane.spanPower);
+        stepper.setHarvestPower(slot, units::Watts(lane.spanPower));
 
     const double duration = lane.run.frontend.traceDuration().raw();
     hot.t[slot] = config.dt;
@@ -463,7 +464,7 @@ Engine::svcPre(int s, uint8_t flips)
             ? UINT64_MAX
             : hot.rollStep[s] + sp.steps;
         if ((injectorMask & bit) == 0)
-            stepper.setHarvestPower(s, sp.watts);
+            stepper.setHarvestPower(s, units::Watts(sp.watts));
     }
 
     if ((injectorMask & bit) != 0) {
@@ -471,8 +472,7 @@ Engine::svcPre(int s, uint8_t flips)
         lane.run.injector->advance(units::Seconds(config.dt));
         stepper.setHarvestPower(
             s,
-            lane.run.injector->filterHarvest(units::Watts(lane.spanPower))
-                .raw());
+            lane.run.injector->filterHarvest(units::Watts(lane.spanPower)));
     }
 
     // Step phase 0 (dielectric aging) runs scalar on the cell's own
@@ -483,7 +483,7 @@ Engine::svcPre(int s, uint8_t flips)
         lane.buffer->laneStepAging(units::Seconds(config.dt));
         const sim::Capacitor &cap = lane.buffer->laneCapacitor();
         stepper.setLaneCapacitance(
-            s, cap.capacitance().raw(),
+            s, cap.capacitance(),
             cap.leakDecayFor(units::Seconds(config.dt)));
     }
 
@@ -537,7 +537,8 @@ Engine::flushLoads()
 {
     for (uint8_t m = dirtyMask; m != 0; m &= static_cast<uint8_t>(m - 1)) {
         const int s = __builtin_ctz(m);
-        stepper.setLoadCurrent(s, slots[s]->run.device.current());
+        stepper.setLoadCurrent(s,
+                               units::Amps(slots[s]->run.device.current()));
     }
     dirtyMask = 0;
 }
@@ -699,14 +700,14 @@ Engine::run(BatchPhaseStats *stats)
                             sp.steps == trace::StepSpan::kOpenEnded
                             ? UINT64_MAX
                             : hot.rollStep[s] + sp.steps;
-                        stepper.setHarvestPower(s, sp.watts);
+                        stepper.setHarvestPower(s, units::Watts(sp.watts));
                     }
                     // A tick is the only thing that can have moved the
                     // backend load here (no flip, no injector); lanes
                     // without a benchmark keep their settled current.
                     if ((benchMask & (1u << s)) != 0)
-                        stepper.setLoadCurrent(s,
-                                               lane.run.device.current());
+                        stepper.setLoadCurrent(
+                            s, units::Amps(lane.run.device.current()));
                 }
                 for (int s = 0; s < kLanes; ++s) {
                     hot.t[s] += dt;

@@ -48,11 +48,11 @@ HarvesterFrontend::power(Seconds t) const
 }
 
 void
-HarvesterFrontend::compileStepSpans(double step_dt,
+HarvesterFrontend::compileStepSpans(Seconds step_dt,
                                     std::vector<trace::StepSpan> &out) const
 {
     const size_t first = out.size();
-    powerTrace.compileStepSpans(step_dt, out);
+    powerTrace.compileStepSpans(step_dt.raw(), out);
     if (!conv)
         // Identity frontend: power() wraps the raw sample unchanged.
         return;

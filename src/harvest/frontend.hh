@@ -53,10 +53,10 @@ class HarvesterFrontend
      * Sweeping the result is bit-identical to calling power() every
      * step; the lane engine's hot loop relies on exactly that.
      *
-     * @param step_dt Replay timestep, seconds (> 0).
+     * @param step_dt Replay timestep (> 0).
      * @param out Receives the spans (appended; not cleared).
      */
-    void compileStepSpans(double step_dt,
+    void compileStepSpans(Seconds step_dt,
                           std::vector<trace::StepSpan> &out) const;
 
     /** Duration of the underlying trace. */

@@ -174,10 +174,10 @@ batchStepAvx512(BatchLaneState &)
 
 } // namespace detail
 
-BatchStepper::BatchStepper(simd::Kernel kernel, double dt)
+BatchStepper::BatchStepper(simd::Kernel kernel, Seconds dt)
     : activeKernel(kernel)
 {
-    react_assert(dt > 0.0, "lane engine timestep must be positive");
+    react_assert(dt > Seconds(0.0), "lane engine timestep must be positive");
     react_assert(kernel != simd::Kernel::Disabled,
                  "BatchStepper constructed with the lane engine disabled");
     if (kernel == simd::Kernel::Avx2)
@@ -209,7 +209,7 @@ BatchStepper::BatchStepper(simd::Kernel kernel, double dt)
 #else
     stepLowerFn = detail::batchStepScalarLower;
 #endif
-    state.dt = dt;
+    state.dt = dt.raw();
     // Inert padding lanes: the kernels process all kMaxLanes
     // unconditionally, so unadmitted lanes carry values for which every
     // phase is a harmless no-op (and divisor-free of zero).
@@ -253,8 +253,8 @@ BatchStepper::reinitLane(int lane, const BatchLaneInit &init)
     state.halfC[lane] = 0.5 * init.capacitance;
     state.capacitance[lane] = init.capacitance;
     state.clamp[lane] = init.clamp;
-    setHarvestPower(lane, 0.0);
-    setLoadCurrent(lane, 0.0);
+    setHarvestPower(lane, Watts(0.0));
+    setLoadCurrent(lane, Amps(0.0));
     state.leaked[lane] = init.leaked;
     state.harvested[lane] = init.harvested;
     state.delivered[lane] = init.delivered;
@@ -262,10 +262,12 @@ BatchStepper::reinitLane(int lane, const BatchLaneInit &init)
 }
 
 void
-BatchStepper::setLaneCapacitance(int lane, double capacitance,
+BatchStepper::setLaneCapacitance(int lane, Farads capacitance_f,
                                  double leak_decay)
 {
-    react_assert(capacitance > 0.0, "lane capacitance must be positive");
+    react_assert(capacitance_f > Farads(0.0),
+                 "lane capacitance must be positive");
+    const double capacitance = capacitance_f.raw();
     state.capacitance[lane] = capacitance;
     state.halfC[lane] = 0.5 * capacitance;
     state.decay[lane] = leak_decay;
@@ -301,8 +303,8 @@ void
 BatchStepper::freezeLane(int lane)
 {
     state.decay[lane] = 1.0;
-    setHarvestPower(lane, 0.0);
-    setLoadCurrent(lane, 0.0);
+    setHarvestPower(lane, Watts(0.0));
+    setLoadCurrent(lane, Amps(0.0));
 }
 
 } // namespace sim

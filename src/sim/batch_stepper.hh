@@ -43,6 +43,11 @@
 namespace react {
 namespace sim {
 
+using units::Amps;
+using units::Farads;
+using units::Seconds;
+using units::Watts;
+
 /**
  * Lane-major state shared with the kernel translation units.  Arrays are
  * 64-byte aligned so both vector kernels use aligned loads/stores (one
@@ -161,9 +166,9 @@ class BatchStepper
      *        or an explicit test choice).  Disabled is a caller bug; a
      *        vector kernel panics unless the matching
      *        simd::*Available() probe holds.
-     * @param dt Integration timestep shared by every lane, seconds.
+     * @param dt Integration timestep shared by every lane.
      */
-    BatchStepper(simd::Kernel kernel, double dt);
+    BatchStepper(simd::Kernel kernel, Seconds dt);
 
     /** Admit one cell; returns its lane index. */
     int addLane(const BatchLaneInit &init);
@@ -184,8 +189,9 @@ class BatchStepper
     simd::Kernel kernel() const { return activeKernel; }
 
     /** Set the harvest input power for the pending step. */
-    void setHarvestPower(int lane, double watts)
+    void setHarvestPower(int lane, Watts power)
     {
+        const double watts = power.raw();
         state.harvestW[lane] = watts;
         // Track the quiet-step precondition exactly as the scalar
         // kernel's harvest early-out sees it: q is forced to zero
@@ -197,8 +203,9 @@ class BatchStepper
     }
 
     /** Set the backend load current for the pending step. */
-    void setLoadCurrent(int lane, double amps)
+    void setLoadCurrent(int lane, Amps current)
     {
+        const double amps = current.raw();
         // An unchanged current re-set is a no-op (the == can only
         // alias +0.0 with -0.0, and either zero makes the load phase
         // a bitwise no-op anyway); the step loops re-set the load
@@ -223,10 +230,10 @@ class BatchStepper
      * lane then continues with the new constants).
      *
      * @param lane Lane index.
-     * @param capacitance New capacitance, farads.
+     * @param capacitance New capacitance.
      * @param leak_decay Capacitor::leakDecayFor(dt) for the new part.
      */
-    void setLaneCapacitance(int lane, double capacitance,
+    void setLaneCapacitance(int lane, Farads capacitance,
                             double leak_decay);
 
     /**

@@ -622,7 +622,7 @@ TEST(FrontendSpanCompilation, ReplaysPerStepPowerBitExactly)
         const BuiltCell built = buildCell(spec);
         const double dt = built.config.dt;
         std::vector<trace::StepSpan> spans;
-        built.frontend->compileStepSpans(dt, spans);
+        built.frontend->compileStepSpans(units::Seconds(dt), spans);
         ASSERT_FALSE(spans.empty()) << spec.repro();
         ASSERT_EQ(spans.back().steps, trace::StepSpan::kOpenEnded)
             << spec.repro();
@@ -837,7 +837,7 @@ TEST(BatchStepperKernel, FrozenLaneIsABitwiseNoOp)
 {
     for (const auto kernel : availableKernels()) {
         SCOPED_TRACE(sim::simd::kernelName(kernel));
-        sim::BatchStepper stepper(kernel, 1e-3);
+        sim::BatchStepper stepper(kernel, units::Seconds(1e-3));
         sim::BatchLaneInit init;
         init.voltage = 2.5;
         init.capacitance = 10e-3;
@@ -845,8 +845,8 @@ TEST(BatchStepperKernel, FrozenLaneIsABitwiseNoOp)
         init.leakDecay = 0.999999;
         init.harvested = 1.25;
         const int lane = stepper.addLane(init);
-        stepper.setHarvestPower(lane, 5e-3);
-        stepper.setLoadCurrent(lane, 1.5e-3);
+        stepper.setHarvestPower(lane, units::Watts(5e-3));
+        stepper.setLoadCurrent(lane, units::Amps(1.5e-3));
         for (int i = 0; i < 100; ++i)
             stepper.step();
         stepper.freezeLane(lane);
@@ -877,7 +877,7 @@ TEST(BatchStepperKernel, ScalarAndVectorLanesAgreeBitwise)
     std::vector<std::unique_ptr<sim::BatchStepper>> steppers;
     for (const auto kernel : kernels)
         steppers.push_back(
-            std::make_unique<sim::BatchStepper>(kernel, 1e-3));
+            std::make_unique<sim::BatchStepper>(kernel, units::Seconds(1e-3)));
     for (int lane = 0; lane < sim::BatchStepper::kMaxLanes; ++lane) {
         sim::BatchLaneInit init;
         init.voltage = rng.uniform(0.0, 4.0);
@@ -893,8 +893,8 @@ TEST(BatchStepperKernel, ScalarAndVectorLanesAgreeBitwise)
             const double watts = dark ? 0.0 : rng.uniform(0.0, 20e-3);
             const double amps = rng.uniform() < 0.5 ? 0.0 : 1.5e-3;
             for (auto &stepper : steppers) {
-                stepper->setHarvestPower(lane, watts);
-                stepper->setLoadCurrent(lane, amps);
+                stepper->setHarvestPower(lane, units::Watts(watts));
+                stepper->setLoadCurrent(lane, units::Amps(amps));
             }
         }
         for (auto &stepper : steppers)
@@ -931,8 +931,8 @@ TEST(BatchStepperKernel, NarrowStepsMatchFullWidth)
     for (const auto kernel : availableKernels()) {
         SCOPED_TRACE(sim::simd::kernelName(kernel));
         Rng rng(4242);
-        sim::BatchStepper full(kernel, 1e-3);
-        sim::BatchStepper narrow(kernel, 1e-3);
+        sim::BatchStepper full(kernel, units::Seconds(1e-3));
+        sim::BatchStepper narrow(kernel, units::Seconds(1e-3));
         for (int lane = 0; lane < sim::BatchStepper::kMaxLanes; ++lane) {
             sim::BatchLaneInit init;
             init.voltage = rng.uniform(0.0, 4.0);
@@ -967,10 +967,10 @@ TEST(BatchStepperKernel, NarrowStepsMatchFullWidth)
                         ? 0.0 : rng.uniform(0.0, 20e-3);
                     const double amps = all_dark || rng.uniform() < 0.5
                         ? 0.0 : 1.5e-3;
-                    full.setHarvestPower(lane, watts);
-                    full.setLoadCurrent(lane, amps);
-                    narrow.setHarvestPower(lane, watts);
-                    narrow.setLoadCurrent(lane, amps);
+                    full.setHarvestPower(lane, units::Watts(watts));
+                    full.setLoadCurrent(lane, units::Amps(amps));
+                    narrow.setHarvestPower(lane, units::Watts(watts));
+                    narrow.setLoadCurrent(lane, units::Amps(amps));
                 }
                 full.step();
                 advance();

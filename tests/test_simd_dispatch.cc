@@ -100,7 +100,7 @@ TEST(SimdDispatch, ScalarPinsTheScalarKernelEndToEnd)
     const Kernel kernel =
         resolveKernel(Policy::Scalar, avx2Available(), avx512Available());
     ASSERT_EQ(kernel, Kernel::Scalar);
-    BatchStepper stepper(kernel, 1e-3);
+    BatchStepper stepper(kernel, units::Seconds(1e-3));
     EXPECT_EQ(stepper.kernel(), Kernel::Scalar);
 }
 
