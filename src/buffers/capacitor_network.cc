@@ -31,17 +31,35 @@ CapacitorNetwork::CapacitorNetwork(int unit_count,
     // Worst case every unit is connected (uniqueness is asserted), so
     // reserving to the pool size makes every later recompilation
     // allocation-free.
+    reserveStepState();
+    branchOffsets.push_back(0);
+    // Nothing is connected until the first arrangement is adopted.
+    for (int i = 0; i < unit_count; ++i)
+        disconnectedUnits.push_back(static_cast<int32_t>(i));
+}
+
+void
+CapacitorNetwork::reserveStepState()
+{
     flatUnits.reserve(units.size());
     branchOffsets.reserve(units.size() + 1);
     branchSizes.reserve(units.size());
-    branchOffsets.push_back(0);
+    branchCaps.reserve(units.size());
+    disconnectedUnits.reserve(units.size());
+    classBranch.reserve(units.size());
+    flatClass.reserve(units.size());
+    classDv.reserve(units.size());
 }
 
 CapacitorNetwork::CapacitorNetwork(const CapacitorNetwork &other)
     : units(other.units), ownedConfig(other.ownedConfig),
       connectedFlags(other.connectedFlags), flatUnits(other.flatUnits),
       branchOffsets(other.branchOffsets), branchSizes(other.branchSizes),
-      cachedEqCap(other.cachedEqCap), cachedEqCapKey(other.cachedEqCapKey)
+      disconnectedUnits(other.disconnectedUnits),
+      classBranch(other.classBranch), flatClass(other.flatClass),
+      classDv(other.classDv), branchCaps(other.branchCaps),
+      cachedEqCap(other.cachedEqCap),
+      cachedEqCapKey(other.cachedEqCapKey)
 {
     // A source that owned its config must not leave the copy aliasing the
     // source's storage; a source borrowing a shared ladder entry may.
@@ -49,9 +67,7 @@ CapacitorNetwork::CapacitorNetwork(const CapacitorNetwork &other)
                                                         : other.currentCfg;
     // Vector copies size capacity to fit; restore the full-pool reserve
     // so the copy keeps the allocation-free recompilation guarantee.
-    flatUnits.reserve(units.size());
-    branchOffsets.reserve(units.size() + 1);
-    branchSizes.reserve(units.size());
+    reserveStepState();
 }
 
 CapacitorNetwork &
@@ -65,13 +81,16 @@ CapacitorNetwork::operator=(const CapacitorNetwork &other)
     flatUnits = other.flatUnits;
     branchOffsets = other.branchOffsets;
     branchSizes = other.branchSizes;
+    disconnectedUnits = other.disconnectedUnits;
+    classBranch = other.classBranch;
+    flatClass = other.flatClass;
+    classDv = other.classDv;
+    branchCaps = other.branchCaps;
     cachedEqCap = other.cachedEqCap;
     cachedEqCapKey = other.cachedEqCapKey;
     currentCfg = other.currentCfg == &other.ownedConfig ? &ownedConfig
                                                         : other.currentCfg;
-    flatUnits.reserve(units.size());
-    branchOffsets.reserve(units.size() + 1);
-    branchSizes.reserve(units.size());
+    reserveStepState();
     return *this;
 }
 
@@ -94,26 +113,26 @@ CapacitorNetwork::equalizeConnected()
         return Joules(0.0);
 
     // Parallel equalization: the common terminal voltage conserves total
-    // branch charge, V_f = sum(Q_br) / sum(C_br).
+    // branch charge, V_f = sum(Q_br) / sum(C_br).  sum(C_br) is the
+    // memoized equivalent capacitance, the same terms summed in the same
+    // order.
+    const Farads c_total = equivalentCapacitance();  // refreshes branchCaps
     const Farads unit_cap = units[0].capacitance();
     Coulombs q_total{0.0};
-    Farads c_total{0.0};
-    for (std::size_t b = 0; b < branchSizes.size(); ++b) {
-        const Farads c_br = unit_cap / branchSizes[b];
-        q_total += c_br * flatBranchVoltage(b);
-        c_total += c_br;
-    }
+    for (std::size_t b = 0; b < branchSizes.size(); ++b)
+        q_total += branchCaps[b] * flatBranchVoltage(b);
     const Volts v_final = std::max(q_total / c_total, Volts(0.0));
 
     const Joules e_before = connectedEnergy();
     for (std::size_t b = 0; b < branchSizes.size(); ++b) {
-        const Farads c_br = unit_cap / branchSizes[b];
-        const Coulombs dq = c_br * (v_final - flatBranchVoltage(b));
-        // Series chains carry the same charge through every member.
+        const Coulombs dq = branchCaps[b] * (v_final - flatBranchVoltage(b));
+        // Series chains carry the same charge through every member, all
+        // of the shared unit capacitance: one division per branch.
+        const Volts dv_unit = dq / unit_cap;
         const int32_t end = branchOffsets[b + 1];
         for (int32_t k = branchOffsets[b]; k < end; ++k)
             units[static_cast<size_t>(flatUnits[static_cast<size_t>(k)])]
-                .addCharge(dq);
+                .addVoltage(dv_unit);
     }
     const Joules e_after = connectedEnergy();
     return std::max(e_before - e_after, Joules(0.0));
@@ -132,6 +151,8 @@ CapacitorNetwork::adoptConfig(const NetworkConfig &next)
     flatUnits.clear();
     branchOffsets.clear();
     branchSizes.clear();
+    classBranch.clear();
+    flatClass.clear();
     branchOffsets.push_back(0);
     for (const auto &branch : next.branches) {
         react_assert(!branch.empty(), "network config has an empty branch");
@@ -144,8 +165,24 @@ CapacitorNetwork::adoptConfig(const NetworkConfig &next)
             flag = 1;
             flatUnits.push_back(static_cast<int32_t>(idx));
         }
+        const double size = static_cast<double>(branch.size());
+        int32_t cls = 0;
+        while (static_cast<size_t>(cls) < classBranch.size() &&
+               branchSizes[static_cast<size_t>(
+                   classBranch[static_cast<size_t>(cls)])] != size)
+            ++cls;
+        if (static_cast<size_t>(cls) == classBranch.size())
+            classBranch.push_back(static_cast<int32_t>(branchSizes.size()));
+        flatClass.insert(flatClass.end(), branch.size(), cls);
         branchOffsets.push_back(static_cast<int32_t>(flatUnits.size()));
-        branchSizes.push_back(static_cast<double>(branch.size()));
+        branchSizes.push_back(size);
+    }
+    branchCaps.resize(branchSizes.size());
+    classDv.resize(classBranch.size());
+    disconnectedUnits.clear();
+    for (int i = 0; i < unitCount(); ++i) {
+        if (!connectedFlags[static_cast<size_t>(i)])
+            disconnectedUnits.push_back(static_cast<int32_t>(i));
     }
     cachedEqCapKey = Farads(-1.0);
 }
@@ -191,8 +228,17 @@ CapacitorNetwork::restore(snapshot::SnapshotReader &r)
     if (count != units.size())
         throw snapshot::SnapshotError(
             "capacitor-network snapshot unit count mismatch");
-    for (auto &unit : units)
+    // Restore into a copy and commit only a consistent pool, so a
+    // rejected snapshot leaves the network as it was.
+    std::vector<sim::Capacitor> restored = units;
+    for (auto &unit : restored)
         unit.restore(r);
+    for (const auto &unit : restored) {
+        if (unit.capacitance() != restored[0].capacitance())
+            throw snapshot::SnapshotError(
+                "capacitor-network snapshot units differ in capacitance");
+    }
+    units = std::move(restored);
 }
 
 } // namespace buffer

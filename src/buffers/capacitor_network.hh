@@ -68,6 +68,9 @@ class CapacitorNetwork
     /** Voltage of one unit capacitor. */
     Volts unitVoltage(int index) const;
 
+    /** The capacitance every unit shares. */
+    Farads unitCapacitance() const { return units[0].capacitance(); }
+
     /** Directly set one unit's voltage (testing / initialization). */
     void setUnitVoltage(int index, Volts voltage);
 
@@ -116,8 +119,19 @@ class CapacitorNetwork
      */
     void addChargeAtOutput(Coulombs dq);
 
-    /** Apply self-discharge to every unit; returns energy leaked. */
-    Joules leak(Seconds dt);
+    /** Outcome of leak(). */
+    struct LeakResult
+    {
+        /** Energy leaked. */
+        Joules lost{0.0};
+        /** storedEnergy() after the leak, bit for bit (the same sum in
+         *  the same order), so a caller can carry it forward instead of
+         *  summing the pool again. */
+        Joules stored{0.0};
+    };
+
+    /** Apply self-discharge to every unit. */
+    LeakResult leak(Seconds dt);
 
     /**
      * Clamp the output node to the given ceiling; the excess is burned.
@@ -138,7 +152,10 @@ class CapacitorNetwork
 
     /** Serialize per-unit capacitor state (capacitance + voltage).  The
      *  arrangement is *not* serialized -- the owner restores it via
-     *  restoreArrangementShared() from its own config ladder. */
+     *  restoreArrangementShared() from its own config ladder.  restore()
+     *  throws SnapshotError, leaving the network untouched, when the
+     *  units' capacitances differ: the per-branch charge arithmetic
+     *  requires one shared unit part. */
     void save(snapshot::SnapshotWriter &w) const;
     void restore(snapshot::SnapshotReader &r);
 
@@ -154,6 +171,9 @@ class CapacitorNetwork
     /** Validate an arrangement, rebuild connectedFlags, and compile the
      *  flattened step state from it. */
     void adoptConfig(const NetworkConfig &next);
+
+    /** Reserve the flattened step state to the pool size. */
+    void reserveStepState();
 
     std::vector<sim::Capacitor> units;
 
@@ -180,7 +200,8 @@ class CapacitorNetwork
      * contiguous arrays so every pass is a linear sweep: the connected
      * unit indices in branch-major config order, the half-open span of
      * branch b in that array, and each branch's member count as the
-     * double the series-capacitance division consumes.  Capacity is
+     * double the series-capacitance division consumes; the units left
+     * out of the arrangement are listed too, for the clip pass.  Capacity is
      * reserved to the unit count at construction (each unit appears at
      * most once), so recompilation never allocates.  Iteration order and
      * arithmetic match the nested walk exactly; results stay
@@ -191,12 +212,30 @@ class CapacitorNetwork
     /** branchSizes.size() + 1 offsets into flatUnits. */
     std::vector<int32_t> branchOffsets;
     std::vector<double> branchSizes;
+    /** Ascending indices of the units not in the arrangement. */
+    std::vector<int32_t> disconnectedUnits;
+    /**
+     * Branch-size classes.  A charge split hands every branch of one
+     * size the same charge, hence every member of those branches the
+     * same voltage step, so addChargeAtOutput() divides once per
+     * distinct size (one class in the all-parallel arrangement, not
+     * seven).  classBranch[c] is the first branch of class c,
+     * flatClass[k] the class of flatUnits[k]; classDv is the per-call
+     * scratch of the class voltage steps.
+     */
+    std::vector<int32_t> classBranch;
+    std::vector<int32_t> flatClass;
+    std::vector<Volts> classDv;
     /**
      * Equivalent-capacitance memo keyed on the unit capacitance (all
-     * units share one part spec; aging rescales them together).
-     * adoptConfig() invalidates the key explicitly because a new
-     * arrangement changes the sum without touching the key.
+     * units share one part spec -- restore() enforces it).  Alongside
+     * the sum it keeps each branch's capacitance unit_cap / size, the
+     * sum's own terms, so the per-step charge split divides once per
+     * arrangement instead of once per branch per step.  adoptConfig()
+     * invalidates the key explicitly because a new arrangement changes
+     * the terms without touching the key.
      */
+    mutable std::vector<Farads> branchCaps;
     mutable Farads cachedEqCap{0.0};
     mutable Farads cachedEqCapKey{-1.0};
     /** @} */
@@ -231,8 +270,10 @@ CapacitorNetwork::equivalentCapacitance() const
     const Farads unit_cap = units[0].capacitance();
     if (unit_cap != cachedEqCapKey) {
         Farads total{0.0};
-        for (double size : branchSizes)
-            total += unit_cap / size;
+        for (std::size_t b = 0; b < branchSizes.size(); ++b) {
+            branchCaps[b] = unit_cap / branchSizes[b];
+            total += branchCaps[b];
+        }
         cachedEqCap = total;
         cachedEqCapKey = unit_cap;
     }
@@ -274,29 +315,36 @@ CapacitorNetwork::addChargeAtOutput(Coulombs dq)
 {
     if (branchSizes.empty())
         return;
-    const Farads c_eq = equivalentCapacitance();
+    const Farads c_eq = equivalentCapacitance();  // refreshes branchCaps
     const Volts dv = dq / c_eq;
     const Farads unit_cap = units[0].capacitance();
-    for (std::size_t b = 0; b < branchSizes.size(); ++b) {
-        const Coulombs dq_br = unit_cap / branchSizes[b] * dv;
-        const int32_t end = branchOffsets[b + 1];
-        for (int32_t k = branchOffsets[b]; k < end; ++k)
-            units[static_cast<size_t>(flatUnits[static_cast<size_t>(k)])]
-                .addCharge(dq_br);
+    // Series chains carry the same charge dq_br through every member, and
+    // every member has the shared unit capacitance, so each member's
+    // addCharge(dq_br) would divide the same operands: divide once per
+    // branch-size class.
+    for (std::size_t c = 0; c < classBranch.size(); ++c) {
+        const Coulombs dq_br =
+            branchCaps[static_cast<size_t>(classBranch[c])] * dv;
+        classDv[c] = dq_br / unit_cap;
     }
+    for (std::size_t k = 0; k < flatUnits.size(); ++k)
+        units[static_cast<size_t>(flatUnits[k])].addVoltage(
+            classDv[static_cast<size_t>(flatClass[k])]);
 }
 
-inline Joules
+inline CapacitorNetwork::LeakResult
 CapacitorNetwork::leak(Seconds dt)
 {
-    Joules lost{0.0};
-    for (auto &unit : units)
-        lost += unit.leak(dt);
+    LeakResult res;
+    for (auto &unit : units) {
+        res.lost += unit.leak(dt);
+        res.stored += unit.energy();
+    }
     // Leakage perturbs series-chain balance only within a chain (all units
     // decay by the same factor, so equal units stay equal); connected
     // branches may drift apart slightly, which the next equalization
     // charges back -- physically this is the standing balancing current.
-    return lost;
+    return res;
 }
 
 inline Joules
@@ -309,12 +357,10 @@ CapacitorNetwork::clipOutput(Volts ceiling)
         addChargeAtOutput(equivalentCapacitance() * (ceiling - v_out));
         clipped += e_before - connectedEnergy();
     }
-    // Disconnected units are bounded only by their rating; the flags are
-    // maintained by adoptConfig() so this pass allocates nothing per step.
-    for (int i = 0; i < unitCount(); ++i) {
-        if (!connectedFlags[static_cast<size_t>(i)])
-            clipped += units[static_cast<size_t>(i)].clip();
-    }
+    // Disconnected units are bounded only by their rating; adoptConfig()
+    // lists them, so this pass allocates and tests nothing per step.
+    for (int32_t idx : disconnectedUnits)
+        clipped += units[static_cast<size_t>(idx)].clip();
     return clipped;
 }
 

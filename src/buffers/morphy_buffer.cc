@@ -52,7 +52,8 @@ buildLadder(int unit_count)
 } // namespace
 
 MorphyBuffer::MorphyBuffer(const MorphyParams &morphy_params)
-    : params(morphy_params), task(morphy_params.taskCap),
+    : params(morphy_params), pollPeriod(1.0 / morphy_params.pollRateHz),
+      task(morphy_params.taskCap),
       network(morphy_params.unitCount, morphy_params.unitCap),
       configs(buildLadder(morphy_params.unitCount))
 {
@@ -112,7 +113,7 @@ MorphyBuffer::usableEnergyAtLevel(int level) const
     return units::capEnergyWindow(c, params.vHigh, params.vLow);
 }
 
-void
+inline void
 MorphyBuffer::addRailCharge(Coulombs dq)
 {
     // Between reconfigurations the connected network tracks the task cap,
@@ -204,7 +205,7 @@ MorphyBuffer::step(Seconds dt, Watts input_power, Amps load_current)
     if (faults != nullptr &&
         faults->plan().capacitanceFadePerHour > 0.0) {
         agingAccumulator += dt;
-        if (agingAccumulator >= 1.0 / params.pollRateHz) {
+        if (agingAccumulator >= pollPeriod) {
             agingAccumulator = Seconds(0.0);
             energyLedger.faultLoss += task.setCapacitance(
                 params.taskCap.capacitance *
@@ -213,7 +214,15 @@ MorphyBuffer::step(Seconds dt, Watts input_power, Amps load_current)
     }
 
     // 1. Self-discharge everywhere.
-    energyLedger.leaked += task.leak(dt) + network.leak(dt);
+    const CapacitorNetwork::LeakResult net_leak = network.leak(dt);
+    energyLedger.leaked += task.leak(dt) + net_leak.lost;
+
+    // Every ledger phase below books a measured storedEnergy() delta.
+    // `stored` carries the last sum forward: it equals storedEnergy()
+    // bit for bit until the next state change, so each phase's "after"
+    // sum is the next phase's "before" and the pool is summed once per
+    // phase instead of twice.
+    Joules stored = task.energy() + net_leak.stored;
 
     // Asymmetric leakage pulls the network a hair below the task
     // capacitor each step; physically they share the output node, so a
@@ -229,34 +238,35 @@ MorphyBuffer::step(Seconds dt, Watts input_power, Amps load_current)
                 (task.capacitance() + c_net_node);
             // Measured, not modeled, for the same zero-floor reason as
             // applyConfig: the redistribution must balance the ledger.
-            const Joules e_before =
-                task.energy() + network.storedEnergy();
+            const Joules e_before = stored;
             network.addChargeAtOutput(c_net_node * (v_common - v_net));
             task.setVoltage(v_common);
-            energyLedger.leaked +=
-                e_before - (task.energy() + network.storedEnergy());
+            stored = storedEnergy();
+            energyLedger.leaked += e_before - stored;
         }
     }
 
     // 2. Harvested input lands on the common rail node.
     if (input_power > Watts(0.0)) {
         const Volts v_eff = std::max(railVoltage(), Volts(0.2));
-        const Joules e_before = storedEnergy();
+        const Joules e_before = stored;
         addRailCharge(input_power / v_eff * dt);
-        energyLedger.harvested += storedEnergy() - e_before;
+        stored = storedEnergy();
+        energyLedger.harvested += stored - e_before;
     }
 
     // 3. Backend load.
     if (load_current > Amps(0.0)) {
-        const Joules e_before = storedEnergy();
+        const Joules e_before = stored;
         addRailCharge(-load_current * dt);
-        energyLedger.delivered += e_before - storedEnergy();
+        stored = storedEnergy();
+        energyLedger.delivered += e_before - stored;
     }
 
     // 4. Overvoltage protection on the rail; disconnected units clamp to
     //    their rating inside the network.
     if (railVoltage() > params.railClamp) {
-        const Joules e_before = storedEnergy();
+        const Joules e_before = stored;
         const Farads c_total = equivalentCapacitance();
         addRailCharge(c_total * (params.railClamp - railVoltage()));
         energyLedger.clipped += e_before - storedEnergy();
@@ -266,9 +276,8 @@ MorphyBuffer::step(Seconds dt, Watts input_power, Amps load_current)
     // 5. Battery-powered controller polls at its fixed rate regardless of
     //    the backend's power state.
     pollAccumulator += dt;
-    const Seconds poll_period = 1.0 / params.pollRateHz;
-    while (pollAccumulator >= poll_period) {
-        pollAccumulator -= poll_period;
+    while (pollAccumulator >= pollPeriod) {
+        pollAccumulator -= pollPeriod;
         pollController();
     }
 }
@@ -280,6 +289,11 @@ MorphyBuffer::reset()
     // Nominal task capacitance, as in StaticBuffer::reset().
     if (task.capacitance() != params.taskCap.capacitance)
         task.setCapacitance(params.taskCap.capacitance);
+    // Nominal units too: a restore that adopted other (uniform) unit
+    // capacitances before a later section failed must not carry into
+    // the cold start.
+    if (network.unitCapacitance() != params.unitCap.capacitance)
+        network = CapacitorNetwork(params.unitCount, params.unitCap);
     for (int i = 0; i < network.unitCount(); ++i)
         network.setUnitVoltage(i, Volts(0.0));
     network.reconfigureShared(&configs[0]);  // ladder entry 0 is empty

@@ -94,6 +94,8 @@ class MorphyBuffer final : public EnergyBuffer
     void applyConfig(int index);
 
     MorphyParams params;
+    /** 1 / params.pollRateHz, fixed at construction. */
+    Seconds pollPeriod;
     sim::Capacitor task;
     CapacitorNetwork network;
     std::vector<NetworkConfig> configs;

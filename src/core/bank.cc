@@ -73,21 +73,6 @@ CapacitorBank::setState(BankState state)
 }
 
 void
-CapacitorBank::addChargeAtTerminal(Coulombs dq)
-{
-    react_assert(connected(), "cannot move charge on a disconnected bank");
-    const double n = static_cast<double>(bankSpec.count);
-    if (bankState == BankState::Series) {
-        // The same charge flows through every series member.
-        vUnit += dq / bankSpec.unit.capacitance;
-    } else {
-        vUnit += dq / (n * bankSpec.unit.capacitance);
-    }
-    if (vUnit < Volts(0))
-        vUnit = Volts(0);
-}
-
-void
 CapacitorBank::save(snapshot::SnapshotWriter &w) const
 {
     w.u8(static_cast<uint8_t>(bankState));

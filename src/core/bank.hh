@@ -18,6 +18,7 @@
 #define REACT_CORE_BANK_HH
 
 #include "sim/capacitor.hh"
+#include "util/logging.hh"
 
 namespace react {
 namespace snapshot {
@@ -206,6 +207,21 @@ CapacitorBank::terminalCapacitance() const
         return bankSpec.parallelCapacitance();
     }
     return Farads(0.0);
+}
+
+inline void
+CapacitorBank::addChargeAtTerminal(Coulombs dq)
+{
+    react_assert(connected(), "cannot move charge on a disconnected bank");
+    const double n = static_cast<double>(bankSpec.count);
+    if (bankState == BankState::Series) {
+        // The same charge flows through every series member.
+        vUnit += dq / bankSpec.unit.capacitance;
+    } else {
+        vUnit += dq / (n * bankSpec.unit.capacitance);
+    }
+    if (vUnit < Volts(0))
+        vUnit = Volts(0);
 }
 
 inline Joules

@@ -23,11 +23,9 @@ namespace {
 sim::Capacitor
 terminalView(const CapacitorBank &bank)
 {
-    sim::CapacitorSpec spec;
-    spec.capacitance = bank.terminalCapacitance();
-    spec.ratedVoltage = Volts(1e9);  // ratings are enforced by the bank
-    spec.leakageCurrentAtRated = Amps(0.0);
-    return sim::Capacitor(spec, bank.terminalVoltage());
+    // Unrated (ratings are enforced by the bank) and lossless.
+    return sim::Capacitor::terminal(bank.terminalCapacitance(),
+                                    bank.terminalVoltage());
 }
 
 } // namespace
@@ -48,7 +46,8 @@ bankComponent(int index, const char *part)
 } // namespace
 
 ReactBuffer::ReactBuffer(const ReactConfig &config)
-    : cfg(config), policy(static_cast<int>(config.banks.size())),
+    : cfg(config), pollPeriod(1.0 / config.pollRateHz),
+      policy(static_cast<int>(config.banks.size())),
       lastLevel(config.lastLevel)
 {
     std::string error;
@@ -211,6 +210,20 @@ ReactBuffer::notifyBackendPower(bool on)
         // The power loss may have interrupted an FRAM config write.
         if (faults != nullptr && !framImage.empty())
             faults->maybeCorruptOnPowerLoss(framId, &framImage);
+    }
+    refreshConnectedMask();
+}
+
+void
+ReactBuffer::refreshConnectedMask()
+{
+    connectedMask = 0;
+    connectedCount = 0;
+    for (size_t i = 0; i < banks.size(); ++i) {
+        if (banks[i].connected()) {
+            connectedMask |= 1u << i;
+            ++connectedCount;
+        }
     }
 }
 
@@ -486,10 +499,9 @@ ReactBuffer::routeInput(Watts input_power, Seconds dt)
         else if (f == sim::DiodeFault::Short)
             drop = Volts(0.0);
     }
-    for (int i = 0; i < bankCount(); ++i) {
+    for (uint32_t m = connectedMask; m != 0; m &= m - 1) {
+        const int i = __builtin_ctz(m);
         const auto &bank = banks[static_cast<size_t>(i)];
-        if (!bank.connected())
-            continue;
         sim::DiodeFault f = sim::DiodeFault::None;
         if (faults != nullptr)
             f = faults->diodeFault(bankIds[static_cast<size_t>(i)].diodeIn);
@@ -533,10 +545,9 @@ ReactBuffer::replenishLastLevel(Seconds dt)
     // above the rail sources current into the last-level buffer.  Exact
     // two-capacitor relaxation keeps this stable even during the
     // reclamation voltage spike (terminal boosted to N * V_low).
-    for (int i = 0; i < bankCount(); ++i) {
+    for (uint32_t m = connectedMask; m != 0; m &= m - 1) {
+        const int i = __builtin_ctz(m);
         auto &bank = banks[static_cast<size_t>(i)];
-        if (!bank.connected())
-            continue;
 
         Volts drop = cfg.diodeDrop;
         Ohms resistance = cfg.transferResistance;
@@ -585,8 +596,7 @@ ReactBuffer::step(Seconds dt, Watts input_power, Amps load_current)
     if (faults != nullptr &&
         faults->plan().capacitanceFadePerHour > 0.0) {
         agingAccumulator += dt;
-        const Seconds aging_period = 1.0 / cfg.pollRateHz;
-        if (agingAccumulator >= aging_period) {
+        if (agingAccumulator >= pollPeriod) {
             agingAccumulator = Seconds(0.0);
             applyAging();
         }
@@ -605,11 +615,8 @@ ReactBuffer::step(Seconds dt, Watts input_power, Amps load_current)
     //    rail.  The comparator/ideal-diode control circuits are powered
     //    from the gated rail (the paper measures the 68 uW draw while
     //    the MCU runs), so the draw vanishes with the backend.
-    int connected = 0;
-    for (const auto &bank : banks)
-        connected += bank.connected() ? 1 : 0;
     const Watts overhead_power =
-        backendOn ? cfg.overheadBase + cfg.overheadPerBank * connected
+        backendOn ? cfg.overheadBase + cfg.overheadPerBank * connectedCount
                   : Watts(0.0);
     const Volts v_rail = std::max(lastLevel.voltage(), Volts(0.5));
     const Amps overhead_current = overhead_power / v_rail;
@@ -636,10 +643,12 @@ ReactBuffer::step(Seconds dt, Watts input_power, Amps load_current)
     // 6. Management software: polls only while the backend MCU is alive.
     if (backendOn) {
         pollAccumulator += dt;
-        const Seconds poll_period = 1.0 / cfg.pollRateHz;
-        while (pollAccumulator >= poll_period) {
-            pollAccumulator -= poll_period;
-            pollController();
+        if (pollAccumulator >= pollPeriod) {
+            while (pollAccumulator >= pollPeriod) {
+                pollAccumulator -= pollPeriod;
+                pollController();
+            }
+            refreshConnectedMask();
         }
     }
 }
@@ -672,6 +681,7 @@ ReactBuffer::reset()
     if (faults != nullptr)
         persistFramRecord();
     energyLedger = sim::EnergyLedger();
+    refreshConnectedMask();
 }
 
 void
@@ -727,6 +737,7 @@ ReactBuffer::restore(snapshot::SnapshotReader &r)
         bw.pendingTarget = static_cast<BankState>(r.u8());
     }
     framImage = r.bytes();
+    refreshConnectedMask();
 }
 
 } // namespace core

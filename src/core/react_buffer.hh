@@ -156,6 +156,9 @@ class ReactBuffer final : public buffer::EnergyBuffer
     /** Apply capacitance fade to the last level and every bank. */
     void applyAging();
 
+    /** Rebuild connectedMask from the banks' physical states. */
+    void refreshConnectedMask();
+
     /** Serialize {level, retiredMask} + CRC into the FRAM image. */
     void persistFramRecord();
 
@@ -164,6 +167,8 @@ class ReactBuffer final : public buffer::EnergyBuffer
     void restoreFramRecord();
 
     ReactConfig cfg;
+    /** 1 / cfg.pollRateHz, fixed at construction. */
+    Seconds pollPeriod;
     BankPolicy policy;
     sim::Capacitor lastLevel;
     std::vector<CapacitorBank> banks;
@@ -175,6 +180,20 @@ class ReactBuffer final : public buffer::EnergyBuffer
     Seconds pollAccumulator{0.0};
     Seconds agingAccumulator{0.0};
     uint64_t transitionCount = 0;
+
+    /**
+     * Bit i set while bank i is physically connected.  Bank states change
+     * only inside notifyBackendPower() and the controller poll (whose
+     * actuations, watchdog landings and retirements all run from
+     * pollController()), plus reset() and restore(); the mask is rebuilt
+     * at the end of each, so the per-step passes visit only the
+     * connected banks.
+     */
+    uint32_t connectedMask = 0;
+    /** Set bits in connectedMask (counted once per refresh: without a
+     *  popcount instruction in the target ISA, a per-step popcount is a
+     *  library call). */
+    int connectedCount = 0;
 
     /**
      * @name Per-path charge-transfer memos

@@ -39,13 +39,6 @@ Capacitor::rebuildLeakCache()
     cachedLeakDecay = 1.0;
 }
 
-void
-Capacitor::setVoltage(Volts voltage)
-{
-    react_assert(voltage >= Volts(0), "capacitor voltage must be >= 0");
-    v = voltage;
-}
-
 Joules
 Capacitor::setCapacitance(Farads capacitance)
 {

@@ -18,6 +18,7 @@
 #include <cstdint>
 
 #include "sim/hotloop_stats.hh"
+#include "util/logging.hh"
 #include "util/units.hh"
 
 namespace react {
@@ -64,6 +65,14 @@ class Capacitor
     explicit Capacitor(const CapacitorSpec &spec,
                        Volts initial_voltage = Volts(0));
 
+    /**
+     * A lossless, unrated capacitor of capacitance @p c at voltage @p v:
+     * the terminal view of a composite element (a REACT bank), built on
+     * the step path without the constructor's validation and leak-cache
+     * setup (no leak, so there is nothing to cache).
+     */
+    static Capacitor terminal(Farads c, Volts v);
+
     /** Part parameters. */
     const CapacitorSpec &spec() const { return partSpec; }
 
@@ -100,6 +109,13 @@ class Capacitor
      * @param dq Charge (negative discharges).
      */
     void addCharge(Coulombs dq);
+
+    /**
+     * Add a signed voltage step, floored at 0 V: the tail of addCharge()
+     * for callers that already divided a shared charge by this
+     * capacitance (a series chain of identical units).
+     */
+    void addVoltage(Volts dv);
 
     /**
      * Integrate a constant current over dt: dV = I dt / C.
@@ -206,12 +222,36 @@ Capacitor::energy() const
     return units::capEnergy(partSpec.capacitance, v);
 }
 
+inline Capacitor
+Capacitor::terminal(Farads c, Volts v)
+{
+    Capacitor cap;
+    cap.partSpec.capacitance = c;
+    cap.partSpec.ratedVoltage = Volts(1e9);
+    cap.partSpec.leakageCurrentAtRated = Amps(0.0);
+    cap.v = v;
+    return cap;
+}
+
+inline void
+Capacitor::setVoltage(Volts voltage)
+{
+    react_assert(voltage >= Volts(0), "capacitor voltage must be >= 0");
+    v = voltage;
+}
+
+inline void
+Capacitor::addVoltage(Volts dv)
+{
+    v += dv;
+    if (v < Volts(0))
+        v = Volts(0);
+}
+
 inline void
 Capacitor::addCharge(Coulombs dq)
 {
-    v += dq / partSpec.capacitance;
-    if (v < Volts(0))
-        v = Volts(0);
+    addVoltage(dq / partSpec.capacitance);
 }
 
 inline void

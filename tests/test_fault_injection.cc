@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "core/react_buffer.hh"
@@ -348,6 +349,93 @@ TEST(Watchdog, HealthyBuffersNeverRetireUnderMisreads)
     }
     EXPECT_GT(buf.capacitanceLevel(), 0);  // the controller did run
     EXPECT_EQ(buf.retiredBankCount(), 0);
+}
+
+TEST(Watchdog, JammedSwitchStaysInTheConnectedSetThroughBrownOut)
+{
+    // A brown-out releases every bank switch except a jammed one, whose
+    // bank stays wired into the network.  The per-step passes visit only
+    // the banks in the buffer's connected mask, so the mask must keep
+    // the jammed bank: the buffer must step exactly like a twin restored
+    // from its state (restore() rebuilds the mask from the bank states).
+    FaultPlan plan;
+    plan.switchStuckProbability = 0.3;
+    FaultInjector inj(plan, 23);
+    ReactBuffer buf;
+    buf.attachFaultInjector(&inj);
+    std::vector<FaultHandle> switches;
+    for (int i = 0; i < buf.bankCount(); ++i)
+        switches.push_back(
+            inj.intern("react.bank" + std::to_string(i) + ".switch"));
+    auto jammed_connected = [&]() {
+        for (int i = 0; i < buf.bankCount(); ++i) {
+            if (buf.bank(i).connected() &&
+                inj.isSwitchStuck(switches[static_cast<size_t>(i)]))
+                return i;
+        }
+        return -1;
+    };
+
+    bool on = false;
+    int jammed = -1;
+    for (int i = 0; i < 600000 && jammed < 0; ++i) {
+        inj.advance(Seconds(1e-3));
+        buf.step(Seconds(1e-3), Watts(20e-3), Amps(on ? 1e-3 : 0.0));
+        if (!on && buf.railVoltage() >= Volts(3.3)) {
+            on = true;
+            buf.notifyBackendPower(true);
+        } else if (on && buf.railVoltage() <= Volts(1.8)) {
+            on = false;
+            buf.notifyBackendPower(false);
+        }
+        if (on)
+            jammed = jammed_connected();
+    }
+    ASSERT_GE(jammed, 0);
+
+    buf.notifyBackendPower(false);
+    ASSERT_TRUE(buf.bank(jammed).connected());
+
+    FaultInjector twin_inj(plan, 23);
+    ReactBuffer twin;
+    twin.attachFaultInjector(&twin_inj);
+    {
+        snapshot::SnapshotWriter w;
+        w.beginSection("inj");
+        inj.save(w);
+        w.endSection();
+        w.beginSection("buffer");
+        buf.save(w);
+        w.endSection();
+        snapshot::SnapshotReader r(w.finish());
+        r.beginSection("inj");
+        twin_inj.restore(r);
+        r.endSection();
+        r.beginSection("buffer");
+        twin.restore(r);
+        r.endSection();
+    }
+
+    const Volts jammed_v = buf.bank(jammed).unitVoltage();
+    for (int i = 0; i < 5000; ++i) {
+        inj.advance(Seconds(1e-3));
+        twin_inj.advance(Seconds(1e-3));
+        buf.step(Seconds(1e-3), Watts(0.0), Amps(2e-3));
+        twin.step(Seconds(1e-3), Watts(0.0), Amps(2e-3));
+    }
+    // The load pulled the rail below the jammed bank, which fed it (a
+    // drop far beyond the millivolts leakage takes from a floating
+    // bank), and the twins never diverged.
+    EXPECT_GT((jammed_v - buf.bank(jammed).unitVoltage()).raw(), 0.05);
+    snapshot::SnapshotWriter a;
+    a.beginSection("buffer");
+    buf.save(a);
+    a.endSection();
+    snapshot::SnapshotWriter b;
+    b.beginSection("buffer");
+    twin.save(b);
+    b.endSection();
+    EXPECT_EQ(a.finish(), b.finish());
 }
 
 // ---------------------------------------------------------------------

@@ -8,9 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <set>
 #include <string>
 #include <vector>
@@ -351,9 +354,11 @@ struct CellFixture
         return v;
     }
 
-    harness::ExperimentResult run(const harness::ExperimentConfig &cfg)
+    harness::ExperimentResult run(const harness::ExperimentConfig &cfg,
+                                  harness::BufferKind kind =
+                                      harness::BufferKind::React)
     {
-        auto buffer = harness::makeBuffer(harness::BufferKind::React);
+        auto buffer = harness::makeBuffer(kind);
         auto benchmark = harness::makeBenchmark(
             harness::BenchmarkKind::SenseCompute,
             power.duration() + 30.0, 1234);
@@ -444,32 +449,46 @@ TEST_F(SnapshotFileTest, MismatchedCheckpointColdStartsWithDiagnostic)
     EXPECT_GT(result.steps, 0u);
 }
 
-/** Re-write a snapshot image with section @p cut_name cut to half its
- *  payload, every CRC valid: damage only a restore can see. */
+/** Re-write a snapshot image with section @p name's payload passed
+ *  through @p edit, every CRC valid: damage only a restore can see. */
 std::vector<uint8_t>
-withShortSection(const std::vector<uint8_t> &image,
-                 const std::string &cut_name)
+withEditedSection(const std::vector<uint8_t> &image, const std::string &name,
+                  const std::function<void(std::vector<uint8_t> &)> &edit)
 {
     SnapshotWriter w;
     size_t pos = 12;  // past the header
     while (pos < image.size()) {
         const size_t name_len = image[pos++];
-        const std::string name(image.begin() + static_cast<long>(pos),
-                               image.begin() +
-                                   static_cast<long>(pos + name_len));
+        const std::string section(image.begin() + static_cast<long>(pos),
+                                  image.begin() +
+                                      static_cast<long>(pos + name_len));
         pos += name_len;
         uint64_t len = 0;
         for (int b = 0; b < 8; ++b)
             len |= static_cast<uint64_t>(image[pos + b]) << (8 * b);
         pos += 8;
-        const size_t keep = name == cut_name ? len / 2 : len;
-        w.beginSection(name);
-        for (size_t i = 0; i < keep; ++i)
-            w.u8(image[pos + i]);
+        std::vector<uint8_t> payload(
+            image.begin() + static_cast<long>(pos),
+            image.begin() + static_cast<long>(pos + len));
+        if (section == name)
+            edit(payload);
+        w.beginSection(section);
+        for (uint8_t byte : payload)
+            w.u8(byte);
         w.endSection();
         pos += len + 4;  // payload + CRC trailer
     }
     return w.finish();
+}
+
+/** withEditedSection() cutting @p cut_name to half its payload. */
+std::vector<uint8_t>
+withShortSection(const std::vector<uint8_t> &image,
+                 const std::string &cut_name)
+{
+    return withEditedSection(image, cut_name, [](std::vector<uint8_t> &p) {
+        p.resize(p.size() / 2);
+    });
 }
 
 TEST_F(SnapshotFileTest, LateRejectedFaultedCheckpointColdStartsOnNominalParts)
@@ -513,6 +532,100 @@ TEST_F(SnapshotFileTest, LateRejectedFaultedCheckpointColdStartsOnNominalParts)
     EXPECT_EQ(resumed.ledger.harvested.raw(), plain.ledger.harvested.raw());
     EXPECT_EQ(resumed.ledger.faultLoss.raw(), plain.ledger.faultLoss.raw());
     EXPECT_EQ(resumed.residualEnergy, plain.residualEnergy);
+}
+
+/**
+ * Overwrite the capacitance of Morphy network units @p which with
+ * @p farads in a "buffer" section payload.  The network serializes a u32
+ * unit count (7), then per unit an f64 capacitance (2 mF) and an f64
+ * voltage, little-endian.
+ */
+void
+setUnitCapacitances(std::vector<uint8_t> &payload,
+                    const std::vector<int> &which, double farads)
+{
+    auto le_bytes = [](double v) {
+        uint64_t bits = 0;
+        std::memcpy(&bits, &v, sizeof(bits));
+        std::vector<uint8_t> out;
+        for (int b = 0; b < 8; ++b)
+            out.push_back(static_cast<uint8_t>(bits >> (8 * b)));
+        return out;
+    };
+    std::vector<uint8_t> needle = {7, 0, 0, 0};
+    const auto nominal = le_bytes(2e-3);
+    needle.insert(needle.end(), nominal.begin(), nominal.end());
+    const auto it =
+        std::search(payload.begin(), payload.end(), needle.begin(),
+                    needle.end());
+    ASSERT_NE(it, payload.end());
+    const size_t units_at = static_cast<size_t>(it - payload.begin()) + 4;
+    const auto altered = le_bytes(farads);
+    for (int unit : which)
+        std::copy(altered.begin(), altered.end(),
+                  payload.begin() +
+                      static_cast<long>(units_at + 16 * static_cast<size_t>(
+                                                            unit)));
+}
+
+TEST_F(SnapshotFileTest, MorphyCheckpointWithMismatchedUnitsColdStarts)
+{
+    // The network's per-branch charge split assumes every unit shares
+    // one capacitance.  A CRC-valid checkpoint whose units disagree must
+    // be rejected at restore, and the cell must equal a plain run.  So
+    // must one whose units agree on a non-nominal capacitance but which
+    // fails in a later section: the cold start runs on nominal units.
+    CellFixture cell;
+    const auto kind = harness::BufferKind::Morphy;
+    const auto plain = cell.run(cell.config, kind);
+    ASSERT_GT(plain.steps, 5000u);
+
+    auto crash_cfg = cell.config;
+    crash_cfg.checkpointPath = path;
+    crash_cfg.checkpointEverySteps = 1000;
+    crash_cfg.haltAfterSteps = plain.steps / 2;
+    ASSERT_TRUE(cell.run(crash_cfg, kind).halted);
+    const SnapshotLoad load = loadSnapshotFile(path);
+    ASSERT_TRUE(load.ok);
+
+    const std::vector<uint8_t> one_unit = withEditedSection(
+        load.image, "buffer", [](std::vector<uint8_t> &p) {
+            setUnitCapacitances(p, {3}, 1.9e-3);
+        });
+    const std::vector<uint8_t> all_units_then_short = withShortSection(
+        withEditedSection(load.image, "buffer",
+                          [](std::vector<uint8_t> &p) {
+                              setUnitCapacitances(
+                                  p, {0, 1, 2, 3, 4, 5, 6}, 1.9e-3);
+                          }),
+        "benchmark");
+    for (const auto &image : {one_unit, all_units_then_short}) {
+        ASSERT_NE(image, load.image);
+        ASSERT_TRUE(saveSnapshotFile(path, image));
+        auto resume_cfg = cell.config;
+        resume_cfg.checkpointPath = path;
+        resume_cfg.resume = true;
+        const auto resumed = cell.run(resume_cfg, kind);
+        EXPECT_FALSE(resumed.resumed);
+        EXPECT_NE(resumed.snapshotDiagnostic.find("rejected"),
+                  std::string::npos);
+        EXPECT_EQ(resumed.stateDigest, plain.stateDigest);
+        EXPECT_EQ(resumed.steps, plain.steps);
+        EXPECT_EQ(resumed.workUnits, plain.workUnits);
+        EXPECT_EQ(resumed.ledger.harvested.raw(),
+                  plain.ledger.harvested.raw());
+        EXPECT_EQ(resumed.ledger.switchLoss.raw(),
+                  plain.ledger.switchLoss.raw());
+        EXPECT_EQ(resumed.residualEnergy, plain.residualEnergy);
+    }
+    // The first image is rejected at the network, for its units.
+    ASSERT_TRUE(saveSnapshotFile(path, one_unit));
+    auto resume_cfg = cell.config;
+    resume_cfg.checkpointPath = path;
+    resume_cfg.resume = true;
+    EXPECT_NE(cell.run(resume_cfg, kind)
+                  .snapshotDiagnostic.find("differ in capacitance"),
+              std::string::npos);
 }
 
 TEST(CheckpointEnv, FileNameSanitizesCellKeys)
