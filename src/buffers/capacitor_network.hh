@@ -196,16 +196,16 @@ class CapacitorNetwork
      *
      * The per-step passes used to walk the arrangement's nested
      * vector<vector<int>> -- a pointer chase per branch, per step.
-     * adoptConfig() instead compiles the arrangement once into three
+     * adoptConfig() instead compiles the arrangement once into
      * contiguous arrays so every pass is a linear sweep: the connected
      * unit indices in branch-major config order, the half-open span of
      * branch b in that array, and each branch's member count as the
      * double the series-capacitance division consumes; the units left
-     * out of the arrangement are listed too, for the clip pass.  Capacity is
-     * reserved to the unit count at construction (each unit appears at
-     * most once), so recompilation never allocates.  Iteration order and
-     * arithmetic match the nested walk exactly; results stay
-     * bit-identical.
+     * out of the arrangement are listed too, for the clip pass.
+     * Capacity is reserved to the unit count at construction (each unit
+     * appears at most once), so recompilation never allocates.
+     * Iteration order and arithmetic match the nested walk exactly;
+     * results stay bit-identical.
      * @{
      */
     std::vector<int32_t> flatUnits;

@@ -427,15 +427,14 @@ TEST(Watchdog, JammedSwitchStaysInTheConnectedSetThroughBrownOut)
     // drop far beyond the millivolts leakage takes from a floating
     // bank), and the twins never diverged.
     EXPECT_GT((jammed_v - buf.bank(jammed).unitVoltage()).raw(), 0.05);
-    snapshot::SnapshotWriter a;
-    a.beginSection("buffer");
-    buf.save(a);
-    a.endSection();
-    snapshot::SnapshotWriter b;
-    b.beginSection("buffer");
-    twin.save(b);
-    b.endSection();
-    EXPECT_EQ(a.finish(), b.finish());
+    auto state = [](const ReactBuffer &b) {
+        snapshot::SnapshotWriter w;
+        w.beginSection("buffer");
+        b.save(w);
+        w.endSection();
+        return w.finish();
+    };
+    EXPECT_EQ(state(buf), state(twin));
 }
 
 // ---------------------------------------------------------------------
