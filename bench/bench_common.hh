@@ -50,9 +50,9 @@ constexpr double kDrainAllowance = harness::kGridDrainAllowance;
  *  harness::cellSeed. */
 constexpr uint64_t kEvaluationSeed = harness::kEvaluationSeed;
 
-/** The grid machinery proper lives in harness/grid.hh so reactd and the
- *  soak harness run byte-identical cells; the bench names stay for the
- *  existing call sites. */
+/** The grid machinery proper lives in harness/grid.hh so library code
+ *  (perfbench, the tests) runs byte-identical cells; the bench names
+ *  stay for the existing call sites. */
 using harness::evaluationTrace;
 using harness::gridCellKey;
 using harness::prewarmEvaluationTraces;

@@ -29,11 +29,6 @@ react_add_bench(parallel_sweep)
 react_add_bench(crash_fuzz)
 react_add_bench(hot_loop)
 
-# Serving-layer soak: crash_fuzz for reactd (seeded kills + faulty
-# transport + drain, byte-identity verdict against direct runs).
-react_add_bench(server_soak)
-target_link_libraries(server_soak PRIVATE react_net)
-
 # Google-benchmark microbenchmarks (simulator hot loop, AES kernel).
 add_executable(micro_engine ${CMAKE_SOURCE_DIR}/bench/micro_engine.cc)
 target_link_libraries(micro_engine PRIVATE react_harness benchmark::benchmark)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <optional>
@@ -53,6 +54,29 @@ wallNowNs()
     return static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(t).count());
 }
+
+/**
+ * At most two lanes live in @p occupied: clearing the lowest set bit
+ * twice leaves nothing.  Plain bit arithmetic, because without -mpopcnt
+ * __builtin_popcount is a libgcc call on the per-step path.
+ */
+constexpr bool
+atMostTwoLanes(uint8_t occupied)
+{
+    const auto rest = static_cast<uint8_t>(occupied & (occupied - 1));
+    return (rest & (rest - 1)) == 0;
+}
+
+constexpr bool
+atMostTwoLanesMatchesPopcount()
+{
+    for (unsigned m = 0; m < 256; ++m)
+        if (atMostTwoLanes(static_cast<uint8_t>(m)) !=
+            (std::popcount(m) <= 2))
+            return false;
+    return true;
+}
+static_assert(atMostTwoLanesMatchesPopcount());
 
 /** One lane's cold state: the cell's control plane (shared with
  *  runExperiment) plus the span cursor.  The hot loop only touches it
@@ -601,7 +625,7 @@ Engine::run(BatchPhaseStats *stats)
             stepper.quiet() && nextWakeIter != UINT64_MAX &&
             iter < nextWakeIter) {
             const uint64_t n = nextWakeIter - iter;
-            const bool few = __builtin_popcount(occupied) <= 2;
+            const bool few = atMostTwoLanes(occupied);
             const bool lower = (occupied & 0xF0u) == 0;
             for (uint64_t k = 0; k < n; ++k) {
                 if (few) {
@@ -631,7 +655,7 @@ Engine::run(BatchPhaseStats *stats)
         // the full-width kernel -- bit-identical (a frozen lane's step
         // is a bitwise no-op) and cheaper than running the divider
         // over six no-op lanes.
-        if (__builtin_popcount(occupied) <= 2) {
+        if (atMostTwoLanes(occupied)) {
             for (uint8_t m = occupied; m != 0;
                  m &= static_cast<uint8_t>(m - 1))
                 stepper.stepLane(__builtin_ctz(m));

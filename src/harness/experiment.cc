@@ -52,9 +52,9 @@ saveRail(snapshot::SnapshotWriter &w, const std::vector<RailSample> &rail)
     }
 }
 
-/** The counts come from outside the program when a result travels over
- *  the wire, so nothing is reserved up front: a lying count runs into
- *  the section end (SnapshotError) instead of a huge allocation. */
+/** The counts come from a file that may be damaged, so nothing is
+ *  reserved up front: a lying count runs into the section end
+ *  (SnapshotError) instead of a huge allocation. */
 void
 restoreRail(snapshot::SnapshotReader &r, std::vector<RailSample> *rail)
 {
@@ -70,7 +70,12 @@ restoreRail(snapshot::SnapshotReader &r, std::vector<RailSample> *rail)
     }
 }
 
-/** The "result" section payload (see encodeResult). */
+/**
+ * The finished checkpoint's "result" section payload.  Every field is
+ * stored except the operational ones (resumed, snapshotFallback,
+ * snapshotDiagnostic), so a result returned out of a finished
+ * checkpoint equals a direct run.
+ */
 void
 saveResult(snapshot::SnapshotWriter &w, const ExperimentResult &res)
 {
@@ -148,30 +153,6 @@ restoreResult(snapshot::SnapshotReader &r, ExperimentResult *res)
 }
 
 } // namespace
-
-std::vector<uint8_t>
-encodeResult(const ExperimentResult &res)
-{
-    snapshot::SnapshotWriter w;
-    w.beginSection("result");
-    saveResult(w, res);
-    w.endSection();
-    return w.finish();
-}
-
-ExperimentResult
-decodeResult(std::vector<uint8_t> bytes)
-{
-    snapshot::SnapshotReader r(std::move(bytes));
-    if (r.sectionCount() != 1)
-        throw snapshot::SnapshotError(
-            "a result image holds exactly one section");
-    ExperimentResult res;
-    r.beginSection("result");
-    restoreResult(r, &res);
-    r.endSection();
-    return res;
-}
 
 CellRun::CellRun(buffer::EnergyBuffer &buffer_,
                  workload::Benchmark *benchmark_,

@@ -189,25 +189,6 @@ struct ExperimentResult
 };
 
 /**
- * Serialize a complete result: a one-section snapshot image whose
- * "result" section is byte-identical to the one a finished checkpoint
- * stores.  This is the one ExperimentResult codec -- finished
- * checkpoints and reactd's JobResult payload both carry it.  Every
- * field is included except the operational ones (resumed,
- * snapshotFallback, snapshotDiagnostic), so a result served from a
- * resume or a cache is byte-identical to a direct run.
- */
-std::vector<uint8_t> encodeResult(const ExperimentResult &res);
-
-/**
- * Decode encodeResult()'s bytes.  The operational fields default.
- *
- * @throws snapshot::SnapshotError on any damage: bad header, CRC
- *         mismatch, truncation, trailing bytes, or a layout mismatch.
- */
-ExperimentResult decodeResult(std::vector<uint8_t> bytes);
-
-/**
  * One cell's control plane: the per-cell state and the lifecycle steps
  * that both experiment loops share -- runExperiment below and the batch
  * lane engine (batch_runner.hh).  Each loop keeps its own clock, physics

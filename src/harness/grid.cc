@@ -140,41 +140,5 @@ runGridCellBatch(const std::vector<GridBatchCell> &cells,
                        config, kernel, stats);
 }
 
-bool
-parseBenchmarkKind(const std::string &name, BenchmarkKind *out)
-{
-    for (const auto kind : kAllBenchmarks) {
-        if (benchmarkKindName(kind) == name) {
-            *out = kind;
-            return true;
-        }
-    }
-    return false;
-}
-
-bool
-parsePaperTrace(const std::string &name, trace::PaperTrace *out)
-{
-    for (const auto kind : trace::kAllPaperTraces) {
-        if (trace::paperTraceName(kind) == name) {
-            *out = kind;
-            return true;
-        }
-    }
-    return false;
-}
-
-bool
-parseBufferKind(const std::string &name, BufferKind *out)
-{
-    for (const auto kind : kAllBuffers) {
-        if (bufferKindName(kind) == name) {
-            *out = kind;
-            return true;
-        }
-    }
-    return false;
-}
-
 } // namespace harness
 } // namespace react

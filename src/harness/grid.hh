@@ -4,17 +4,16 @@
  * cache, and the one-cell runner.
  *
  * Historically this lived in bench/bench_common.hh, which made the grid
- * reachable only from bench binaries.  The experiment service (reactd)
- * and the soak harness need to run exactly the same cells from library
- * code -- the byte-identity contract between a served job and a direct
- * run only holds if both sides call the same function with the same
+ * reachable only from bench binaries.  Library code (perfbench, the
+ * tests) must run exactly the same cells -- a cell reproduces a bench's
+ * numbers only if both sides call the same function with the same
  * seeding -- so the cell machinery lives here and bench_common forwards
  * to it.
  *
  * Determinism contract (unchanged from PR 3): every cell's randomness is
  * seeded from its *stable identity* (gridCellKey()), never from thread
  * identity or execution order, so the same cell reproduces the same
- * numbers in every sweep, every thread count, and every transport.
+ * numbers in every sweep and every thread count.
  */
 
 #ifndef REACT_HARNESS_GRID_HH
@@ -64,7 +63,7 @@ void prewarmEvaluationTraces();
  * the cell's stable identity and @p base_seed.  With REACT_CHECKPOINT_DIR
  * set the cell checkpoints/resumes against a snapshot named after that
  * identity (see harness/checkpoint.hh); callers that manage their own
- * checkpoint location (reactd) set config.checkpointPath before calling.
+ * checkpoint location set config.checkpointPath before calling.
  */
 ExperimentResult runGridCell(BufferKind buffer_kind,
                              BenchmarkKind bench_kind,
@@ -107,16 +106,6 @@ void runGridCellBatch(const std::vector<GridBatchCell> &cells,
                       uint64_t base_seed = kEvaluationSeed,
                       sim::simd::Kernel kernel = sim::simd::selectedKernel(),
                       BatchPhaseStats *stats = nullptr);
-
-/** @name Name <-> enum lookups (CLI / wire protocol)
- *
- * Accept the exact display name ("Sol. Camp.") case-sensitively.
- * Return false on an unknown name, leaving @p out untouched.
- * @{ */
-bool parseBenchmarkKind(const std::string &name, BenchmarkKind *out);
-bool parsePaperTrace(const std::string &name, trace::PaperTrace *out);
-bool parseBufferKind(const std::string &name, BufferKind *out);
-/** @} */
 
 } // namespace harness
 } // namespace react

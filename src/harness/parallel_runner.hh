@@ -75,10 +75,10 @@ enum class SignalPolicy
      */
     ExitAfterDrain,
     /**
-     * For embedding (reactd): no handlers are installed and run()
-     * simply returns after the drain; the host consults interrupted()
-     * and decides what to do.  The host raises the stop flag itself
-     * via requestStop().
+     * For hosts that own the process's signals (the in-process drain
+     * tests): no handlers are installed and run() simply returns after
+     * the drain; the host consults interrupted() and decides what to
+     * do.  The host raises the stop flag itself via requestStop().
      */
     External,
 };

@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <cerrno>
-#include <cmath>
 #include <cstdlib>
 
 #include "logging.hh"
@@ -61,24 +60,6 @@ u64Var(const char *name, uint64_t min, uint64_t max)
     return n;
 }
 
-std::optional<double>
-doubleVar(const char *name, double min, double max)
-{
-    const auto v = raw(name);
-    if (!v)
-        return std::nullopt;
-    errno = 0;
-    char *end = nullptr;
-    const double d = std::strtod(v->c_str(), &end);
-    if (end == v->c_str() || *end != '\0' || errno == ERANGE ||
-        !std::isfinite(d) || d < min || d > max) {
-        react_warn("ignoring %s='%s' (want a finite number in [%g, %g])",
-                   name, v->c_str(), min, max);
-        return std::nullopt;
-    }
-    return d;
-}
-
 std::optional<std::string>
 stringVar(const char *name)
 {
@@ -86,26 +67,6 @@ stringVar(const char *name)
     if (!v || v->empty())
         return std::nullopt;
     return v;
-}
-
-std::optional<bool>
-boolVar(const char *name)
-{
-    const auto v = raw(name);
-    if (!v)
-        return std::nullopt;
-    std::string low;
-    low.reserve(v->size());
-    for (const char c : *v)
-        low.push_back(static_cast<char>(
-            std::tolower(static_cast<unsigned char>(c))));
-    if (low == "1" || low == "on" || low == "true" || low == "yes")
-        return true;
-    if (low == "0" || low == "off" || low == "false" || low == "no")
-        return false;
-    react_warn("ignoring %s='%s' (want 1/on/true/yes or 0/off/false/no)",
-               name, v->c_str());
-    return std::nullopt;
 }
 
 } // namespace env

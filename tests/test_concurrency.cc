@@ -12,10 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <cstring>
-#include <exception>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -23,12 +21,8 @@
 
 #include <unistd.h>
 
-#include "harness/grid.hh"
 #include "harness/parallel_runner.hh"
 #include "mcu/event_queue.hh"
-#include "net/client.hh"
-#include "net/protocol.hh"
-#include "net/server.hh"
 #include "snapshot/snapshot.hh"
 #include "util/rng.hh"
 
@@ -260,90 +254,6 @@ TEST(ConcurrencySnapshot, RotationFromEightThreadsOnDistinctFiles)
         EXPECT_EQ(load.image, snapshotImage(t, kRounds - 2));
     }
     fs::remove_all(dir);
-}
-
-TEST(ConcurrencyServer, ExecutorServesParallelClientsIdentically)
-{
-    using namespace react::net;
-    harness::ParallelRunner::clearStopRequest();
-
-    ServerConfig config;
-    config.socketPath =
-        (std::filesystem::temp_directory_path() /
-         ("react_test_conc." + std::to_string(::getpid()) + ".sock"))
-            .string();
-    config.threads = 4;
-    Server server(config);
-    int exit_status = -1;
-    std::thread server_thread([&] { exit_status = server.serve(); });
-
-    ClientConfig probe;
-    probe.socketPath = config.socketPath;
-    probe.requestTimeoutMs = 2000;
-    {
-        Client pinger(probe);
-        for (int i = 0; i < 200 && !pinger.ping(); ++i)
-            std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-
-    // Every client runs the same shared cell (cache + job-table
-    // contention) plus one private cell (parallel executor batches).
-    JobSpec shared;
-    shared.bench = harness::BenchmarkKind::DataEncryption;
-    shared.trace = trace::PaperTrace::RfCart;
-    shared.buffer = harness::BufferKind::React;
-
-    constexpr int kClients = 4;
-    const harness::BufferKind kinds[kClients] = {
-        harness::BufferKind::React, harness::BufferKind::Morphy,
-        harness::BufferKind::React, harness::BufferKind::Morphy,
-    };
-    std::vector<std::vector<uint8_t>> shared_bytes(kClients);
-    std::vector<std::vector<uint8_t>> private_bytes(kClients);
-    std::vector<std::string> errors(kClients);
-    std::vector<std::thread> clients;
-    for (int c = 0; c < kClients; ++c) {
-        clients.emplace_back([&, c] {
-            try {
-                ClientConfig cc;
-                cc.socketPath = config.socketPath;
-                cc.requestTimeoutMs = 120000;
-                Client client(cc);
-                JobSpec mine = shared;
-                mine.bench = harness::BenchmarkKind::SenseCompute;
-                mine.buffer = kinds[c];
-                mine.baseSeed = 42u + static_cast<uint64_t>(c % 2);
-                private_bytes[static_cast<size_t>(c)] =
-                    client.runJob(mine).resultBytes;
-                shared_bytes[static_cast<size_t>(c)] =
-                    client.runJob(shared).resultBytes;
-            } catch (const std::exception &e) {
-                errors[static_cast<size_t>(c)] = e.what();
-            }
-        });
-    }
-    for (auto &c : clients)
-        c.join();
-    for (int c = 0; c < kClients; ++c)
-        ASSERT_EQ(errors[static_cast<size_t>(c)], "") << "client " << c;
-
-    // The shared cell must serve identical bytes to every client, and
-    // clients with identical private specs must agree too.
-    for (int c = 1; c < kClients; ++c)
-        EXPECT_EQ(shared_bytes[static_cast<size_t>(c)], shared_bytes[0])
-            << "client " << c;
-    EXPECT_EQ(private_bytes[2], private_bytes[0]);
-    EXPECT_EQ(private_bytes[3], private_bytes[1]);
-
-    ClientConfig cc;
-    cc.socketPath = config.socketPath;
-    cc.requestTimeoutMs = 120000;
-    Client closer(cc);
-    EXPECT_EQ(closer.drain(), 0u);
-    server_thread.join();
-    EXPECT_EQ(exit_status, 0);
-    harness::ParallelRunner::clearStopRequest();
-    std::filesystem::remove(config.socketPath);
 }
 
 } // namespace

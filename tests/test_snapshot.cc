@@ -2,18 +2,22 @@
  * @file
  * Tests for the snapshot subsystem: wire-format round trips, whole-image
  * validation (corruption, truncation, reordering), the atomic file
- * protocol with its `.prev` fallback, RNG stream serialization, and
- * checkpoint/restore transparency of a full experiment run.
+ * protocol with its `.prev` fallback, RNG stream serialization,
+ * checkpoint/restore transparency of a full experiment run, and the
+ * finished checkpoint's result section as untrusted input.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <new>
 #include <set>
 #include <string>
 #include <vector>
@@ -29,6 +33,34 @@
 #include "trace/power_trace.hh"
 #include "util/crc32.hh"
 #include "util/rng.hh"
+
+/**
+ * A length lie must not cost memory: this binary refuses any single
+ * allocation over 256 MiB, so a decoder that sizes a buffer from an
+ * untrusted count throws std::bad_alloc (and fails its test) instead of
+ * passing after a multi-gigabyte allocation.
+ */
+void *
+operator new(std::size_t size)
+{
+    if (size <= (std::size_t{256} << 20)) {
+        if (void *p = std::malloc(size == 0 ? 1 : size))
+            return p;
+    }
+    throw std::bad_alloc();
+}
+
+void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 namespace react {
 namespace snapshot {
@@ -368,6 +400,79 @@ struct CellFixture
     }
 };
 
+/** A faulted cell with its rail recorded: its finished checkpoint's
+ *  result section carries a non-empty rail and fault log. */
+harness::ExperimentConfig
+faultedRecordingConfig(const CellFixture &cell)
+{
+    harness::ExperimentConfig cfg = cell.config;
+    cfg.faultPlan.harvesterDropoutsPerHour = 180.0;
+    cfg.faultPlan.harvesterDropoutMeanSeconds = units::Seconds(0.5);
+    cfg.recordRail = true;
+    cfg.recordInterval = 20.0;
+    return cfg;
+}
+
+uint64_t
+bitsOf(double v)
+{
+    uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    return bits;
+}
+
+/** Every stored ExperimentResult field equal bit for bit (all but the
+ *  operational resumed, snapshotFallback and snapshotDiagnostic). */
+void
+expectSameResult(const harness::ExperimentResult &a,
+                 const harness::ExperimentResult &b)
+{
+    EXPECT_EQ(a.bufferName, b.bufferName);
+    EXPECT_EQ(a.benchmarkName, b.benchmarkName);
+    EXPECT_EQ(a.traceName, b.traceName);
+    EXPECT_EQ(bitsOf(a.latency), bitsOf(b.latency));
+    EXPECT_EQ(bitsOf(a.onTime), bitsOf(b.onTime));
+    EXPECT_EQ(bitsOf(a.totalTime), bitsOf(b.totalTime));
+    EXPECT_EQ(a.steps, b.steps);
+    EXPECT_EQ(a.powerCycles, b.powerCycles);
+    EXPECT_EQ(a.workUnits, b.workUnits);
+    EXPECT_EQ(a.packetsRx, b.packetsRx);
+    EXPECT_EQ(a.packetsTx, b.packetsTx);
+    EXPECT_EQ(a.failedOps, b.failedOps);
+    EXPECT_EQ(a.missedEvents, b.missedEvents);
+    for (const auto field :
+         {&sim::EnergyLedger::harvested, &sim::EnergyLedger::delivered,
+          &sim::EnergyLedger::clipped, &sim::EnergyLedger::leaked,
+          &sim::EnergyLedger::switchLoss, &sim::EnergyLedger::diodeLoss,
+          &sim::EnergyLedger::overhead, &sim::EnergyLedger::faultLoss})
+        EXPECT_EQ(bitsOf((a.ledger.*field).raw()),
+                  bitsOf((b.ledger.*field).raw()));
+    EXPECT_EQ(bitsOf(a.residualEnergy), bitsOf(b.residualEnergy));
+    EXPECT_EQ(bitsOf(a.conservationError), bitsOf(b.conservationError));
+    EXPECT_EQ(a.faultEvents, b.faultEvents);
+    EXPECT_EQ(a.recoveryEvents, b.recoveryEvents);
+    EXPECT_EQ(a.banksRetired, b.banksRetired);
+    EXPECT_EQ(a.framRecoveries, b.framRecoveries);
+    ASSERT_EQ(a.faultLog.size(), b.faultLog.size());
+    for (size_t i = 0; i < a.faultLog.size(); ++i) {
+        EXPECT_EQ(bitsOf(a.faultLog[i].time.raw()),
+                  bitsOf(b.faultLog[i].time.raw()));
+        EXPECT_EQ(a.faultLog[i].kind, b.faultLog[i].kind);
+        EXPECT_EQ(a.faultLog[i].component, b.faultLog[i].component);
+        EXPECT_EQ(bitsOf(a.faultLog[i].magnitude),
+                  bitsOf(b.faultLog[i].magnitude));
+    }
+    ASSERT_EQ(a.rail.size(), b.rail.size());
+    for (size_t i = 0; i < a.rail.size(); ++i) {
+        EXPECT_EQ(bitsOf(a.rail[i].time), bitsOf(b.rail[i].time));
+        EXPECT_EQ(bitsOf(a.rail[i].voltage), bitsOf(b.rail[i].voltage));
+        EXPECT_EQ(a.rail[i].backendOn, b.rail[i].backendOn);
+        EXPECT_EQ(a.rail[i].level, b.rail[i].level);
+    }
+    EXPECT_EQ(a.halted, b.halted);
+    EXPECT_EQ(a.stateDigest, b.stateDigest);
+}
+
 TEST_F(SnapshotFileTest, ExperimentResumeIsBitIdentical)
 {
     CellFixture cell;
@@ -404,22 +509,24 @@ TEST_F(SnapshotFileTest, ExperimentResumeIsBitIdentical)
 
 TEST_F(SnapshotFileTest, FinishedCellResumesInstantlyWithStoredResult)
 {
+    // The faulted, rail-recording cell stores a non-empty fault log and
+    // rail, so every field of the result section is exercised.
     CellFixture cell;
-    auto cfg = cell.config;
-    cfg.checkpointPath = path;
-    const auto first = cell.run(cfg);
-    EXPECT_FALSE(first.resumed);
+    for (const bool faulted : {false, true}) {
+        auto cfg = faulted ? faultedRecordingConfig(cell) : cell.config;
+        cfg.checkpointPath = path;
+        const auto first = cell.run(cfg);
+        EXPECT_FALSE(first.resumed);
+        if (faulted) {
+            ASSERT_FALSE(first.rail.empty());
+            ASSERT_FALSE(first.faultLog.empty());
+        }
 
-    auto resume_cfg = cfg;
-    resume_cfg.resume = true;
-    const auto second = cell.run(resume_cfg);
-    EXPECT_TRUE(second.resumed);
-    EXPECT_EQ(second.stateDigest, first.stateDigest);
-    EXPECT_EQ(second.steps, first.steps);
-    EXPECT_EQ(second.workUnits, first.workUnits);
-    EXPECT_EQ(second.totalTime, first.totalTime);
-    EXPECT_EQ(second.ledger.harvested.raw(),
-              first.ledger.harvested.raw());
+        cfg.resume = true;
+        const auto second = cell.run(cfg);
+        EXPECT_TRUE(second.resumed);
+        expectSameResult(first, second);
+    }
 }
 
 TEST_F(SnapshotFileTest, MismatchedCheckpointColdStartsWithDiagnostic)
@@ -626,6 +733,90 @@ TEST_F(SnapshotFileTest, MorphyCheckpointWithMismatchedUnitsColdStarts)
     EXPECT_NE(cell.run(resume_cfg, kind)
                   .snapshotDiagnostic.find("differ in capacitance"),
               std::string::npos);
+}
+
+TEST_F(SnapshotFileTest, MalformedFinishedResultColdStarts)
+{
+    // CRC-valid "result" sections that only restoreResult's own checks
+    // can catch: each must be rejected before it sizes an allocation or
+    // an enum, and the cell must then equal a plain run.
+    CellFixture cell;
+    const auto cfg = faultedRecordingConfig(cell);
+    const auto plain = cell.run(cfg);
+    ASSERT_FALSE(plain.rail.empty());
+    ASSERT_FALSE(plain.faultLog.empty());
+
+    auto resume_cfg = cfg;
+    resume_cfg.checkpointPath = path;
+    (void)cell.run(resume_cfg);  // leaves the finished checkpoint
+    resume_cfg.resume = true;
+    const SnapshotLoad load = loadSnapshotFile(path);
+    ASSERT_TRUE(load.ok);
+    const std::vector<uint8_t> finished = load.image;
+    std::vector<uint8_t> section;  // the stored "result" payload
+    (void)withEditedSection(finished, "result",
+                            [&](std::vector<uint8_t> &p) { section = p; });
+
+    const auto expectColdStart = [&](const std::vector<uint8_t> &payload) {
+        ASSERT_TRUE(saveSnapshotFile(
+            path, withEditedSection(finished, "result",
+                                    [&](std::vector<uint8_t> &p) {
+                                        p = payload;
+                                    })));
+        const auto result = cell.run(resume_cfg);
+        EXPECT_FALSE(result.resumed);
+        EXPECT_NE(result.snapshotDiagnostic.find("rejected: "),
+                  std::string::npos)
+            << result.snapshotDiagnostic;
+        expectSameResult(result, plain);
+    };
+
+    for (size_t cut = 0; cut < section.size(); ++cut) {
+        SCOPED_TRACE("result section cut to " + std::to_string(cut) +
+                     " bytes");
+        expectColdStart(std::vector<uint8_t>(
+            section.begin(), section.begin() + static_cast<long>(cut)));
+    }
+    {
+        SCOPED_TRACE("one trailing byte");
+        std::vector<uint8_t> longer = section;
+        longer.push_back(0);
+        expectColdStart(longer);
+    }
+
+    // The section opens with the buffer name's u32 length and ends in
+    // [u32 rail count][rail samples][u8 halted][u32 digest]; the last
+    // fault event ([f64 time][u8 kind][str component][f64 magnitude])
+    // sits right before the rail count.
+    const size_t rail_count_at =
+        section.size() - 4 - 1 - 21 * plain.rail.size() - 4;
+    const size_t kind_at = rail_count_at - 8 -
+        (4 + plain.faultLog.back().component.size()) - 1;
+    uint32_t rail_count = 0;
+    for (int b = 0; b < 4; ++b)
+        rail_count |= static_cast<uint32_t>(section[rail_count_at + b])
+            << (8 * b);
+    ASSERT_EQ(rail_count, plain.rail.size());
+    ASSERT_EQ(section[kind_at],
+              static_cast<uint8_t>(plain.faultLog.back().kind));
+    const auto lie = [&](size_t at, const std::vector<uint8_t> &bytes) {
+        std::vector<uint8_t> payload = section;
+        std::copy(bytes.begin(), bytes.end(),
+                  payload.begin() + static_cast<long>(at));
+        return payload;
+    };
+    {
+        SCOPED_TRACE("buffer-name length lie");
+        expectColdStart(lie(0, {0xf0, 0xff, 0xff, 0xff}));
+    }
+    {
+        SCOPED_TRACE("rail count lie");
+        expectColdStart(lie(rail_count_at, {0xff, 0xff, 0xff, 0xff}));
+    }
+    {
+        SCOPED_TRACE("fault-event kind out of range");
+        expectColdStart(lie(kind_at, {0xff}));
+    }
 }
 
 TEST(CheckpointEnv, FileNameSanitizesCellKeys)

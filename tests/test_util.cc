@@ -359,31 +359,27 @@ TEST(Env, UnsetIsSilentlyAbsent)
     ::unsetenv("REACT_TEST_UNSET");
     EXPECT_FALSE(env::raw("REACT_TEST_UNSET").has_value());
     EXPECT_FALSE(env::intVar("REACT_TEST_UNSET", 0, 10).has_value());
-    EXPECT_FALSE(env::boolVar("REACT_TEST_UNSET").has_value());
+    EXPECT_FALSE(env::u64Var("REACT_TEST_UNSET", 0, 10).has_value());
+    EXPECT_FALSE(env::stringVar("REACT_TEST_UNSET").has_value());
 }
 
 TEST(Env, WellFormedValuesParse)
 {
     EnvVar a("REACT_TEST_INT", "42");
-    EnvVar b("REACT_TEST_DBL", "2.5");
-    EnvVar c("REACT_TEST_STR", "hello");
-    EnvVar d("REACT_TEST_BOOL", "On");
+    EnvVar b("REACT_TEST_STR", "hello");
     EXPECT_EQ(env::intVar("REACT_TEST_INT", 0, 100).value_or(-1), 42);
     EXPECT_EQ(env::u64Var("REACT_TEST_INT", 0, 100).value_or(0), 42u);
-    EXPECT_EQ(env::doubleVar("REACT_TEST_DBL", 0.0, 10.0).value_or(-1.0),
-              2.5);
     EXPECT_EQ(env::stringVar("REACT_TEST_STR").value_or(""), "hello");
-    EXPECT_TRUE(env::boolVar("REACT_TEST_BOOL").value_or(false));
 }
 
 TEST(Env, MalformedValuesWarnAndFallBack)
 {
-    EnvVar a("REACT_TEST_INT", "12abc");  // trailing garbage
-    EnvVar b("REACT_TEST_DBL", "fast");   // not a number
-    EnvVar c("REACT_TEST_BOOL", "maybe"); // not a boolean
+    EnvVar a("REACT_TEST_INT", "12abc"); // trailing garbage
+    EnvVar b("REACT_TEST_WORD", "fast");  // not a number
     EXPECT_FALSE(env::intVar("REACT_TEST_INT", 0, 100).has_value());
-    EXPECT_FALSE(env::doubleVar("REACT_TEST_DBL", 0.0, 1.0).has_value());
-    EXPECT_FALSE(env::boolVar("REACT_TEST_BOOL").has_value());
+    EXPECT_FALSE(env::u64Var("REACT_TEST_INT", 0, 100).has_value());
+    EXPECT_FALSE(env::intVar("REACT_TEST_WORD", 0, 100).has_value());
+    EXPECT_FALSE(env::u64Var("REACT_TEST_WORD", 0, 100).has_value());
 }
 
 TEST(Env, OutOfRangeAndOverflowAreMalformed)
