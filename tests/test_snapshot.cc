@@ -509,24 +509,34 @@ TEST_F(SnapshotFileTest, ExperimentResumeIsBitIdentical)
 
 TEST_F(SnapshotFileTest, FinishedCellResumesInstantlyWithStoredResult)
 {
+    CellFixture cell;
+    auto cfg = cell.config;
+    cfg.checkpointPath = path;
+    const auto first = cell.run(cfg);
+    EXPECT_FALSE(first.resumed);
+
+    cfg.resume = true;
+    const auto second = cell.run(cfg);
+    EXPECT_TRUE(second.resumed);
+    expectSameResult(first, second);
+}
+
+TEST_F(SnapshotFileTest, FinishedResultSectionRoundTripsEveryField)
+{
     // The faulted, rail-recording cell stores a non-empty fault log and
     // rail, so every field of the result section is exercised.
     CellFixture cell;
-    for (const bool faulted : {false, true}) {
-        auto cfg = faulted ? faultedRecordingConfig(cell) : cell.config;
-        cfg.checkpointPath = path;
-        const auto first = cell.run(cfg);
-        EXPECT_FALSE(first.resumed);
-        if (faulted) {
-            ASSERT_FALSE(first.rail.empty());
-            ASSERT_FALSE(first.faultLog.empty());
-        }
+    auto cfg = faultedRecordingConfig(cell);
+    cfg.checkpointPath = path;
+    const auto first = cell.run(cfg);
+    EXPECT_FALSE(first.resumed);
+    ASSERT_FALSE(first.rail.empty());
+    ASSERT_FALSE(first.faultLog.empty());
 
-        cfg.resume = true;
-        const auto second = cell.run(cfg);
-        EXPECT_TRUE(second.resumed);
-        expectSameResult(first, second);
-    }
+    cfg.resume = true;
+    const auto second = cell.run(cfg);
+    EXPECT_TRUE(second.resumed);
+    expectSameResult(first, second);
 }
 
 TEST_F(SnapshotFileTest, MismatchedCheckpointColdStartsWithDiagnostic)
