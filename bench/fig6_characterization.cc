@@ -79,7 +79,7 @@ main()
                     "%4llu  switching loss %.2f mJ\n",
                     names[k], r.latency, r.onTime,
                     static_cast<unsigned long long>(r.workUnits),
-                    r.ledger.switchLoss * 1e3);
+                    r.ledger.switchLoss.raw() * 1e3);
     }
 
     // Count REACT's reclamation boosts: downward level steps while the

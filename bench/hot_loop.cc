@@ -9,7 +9,7 @@
  *  1. Raw per-architecture step loops: each buffer is warmed past its
  *     transient and then stepped in a time-boxed tight loop, reporting
  *     steps/sec for StaticBuffer, ReactBuffer, and MorphyBuffer.
- *  2. Raw batch lane-engine loops per kernel (scalar / AVX2 / AVX-512),
+ *  2. Raw batch lane-engine loops per kernel (scalar / AVX2),
  *     reporting lane-steps/sec against the static_10mF micro row.
  *  3. The Table-2 DE static column end to end, classic per-cell vs the
  *     lane-major runGridCellBatch on the best kernel this host has --
@@ -326,44 +326,14 @@ main(int argc, char **argv)
         batch_rows.push_back(
             {"avx2", measureBatchLoop(sim::simd::Kernel::Avx2, budget)});
     }
-    const bool avx512_available = sim::simd::avx512Available();
-    if (avx512_available) {
-        batch_rows.push_back(
-            {"avx512",
-             measureBatchLoop(sim::simd::Kernel::Avx512, budget)});
-    }
 
     // --- Table-2 DE static column, classic vs lane engine ---------------
     // The Amdahl number: what the whole experiment loop -- frontend,
     // gate, workload, bookkeeping, physics -- gains end to end.
     //
-    // Kernel choice: REACT_SIMD pins one explicitly (the CI probe legs
-    // use this); otherwise pick by the measured batch-row throughput,
-    // not ISA width -- the kernels are bit-identical (the differential
-    // harness proves it) so the choice is free, and on Skylake-class
-    // parts the zmm divider makes AVX2 the faster batch kernel despite
-    // AVX-512 being "wider".
-    sim::simd::Kernel lane_kernel = sim::simd::Kernel::Scalar;
-    {
-        const sim::simd::Policy policy = sim::simd::envPolicy();
-        if (policy != sim::simd::Policy::Off &&
-            policy != sim::simd::Policy::Auto) {
-            lane_kernel = sim::simd::resolveKernel(
-                policy, avx2_available, avx512_available);
-        } else {
-            double best = 0.0;
-            for (const auto &row : batch_rows) {
-                if (row.result.stepsPerSec() <= best)
-                    continue;
-                best = row.result.stepsPerSec();
-                lane_kernel = std::strcmp(row.name, "avx512") == 0
-                    ? sim::simd::Kernel::Avx512
-                    : std::strcmp(row.name, "avx2") == 0
-                        ? sim::simd::Kernel::Avx2
-                        : sim::simd::Kernel::Scalar;
-            }
-        }
-    }
+    // The kernel the host picks under REACT_SIMD=auto.
+    const sim::simd::Kernel lane_kernel = sim::simd::resolveKernel(
+        sim::simd::Policy::Auto, avx2_available);
     const LaneEngineResult lane =
         quick ? LaneEngineResult{} : measureLaneEngine(lane_kernel);
 
@@ -388,7 +358,6 @@ main(int argc, char **argv)
     w.beginObject();
     w.field("lanes", static_cast<uint64_t>(sim::BatchStepper::kMaxLanes));
     w.field("avx2_available", avx2_available);
-    w.field("avx512_available", avx512_available);
     w.key("kernels");
     w.beginArray();
     for (const auto &row : batch_rows) {
@@ -467,9 +436,6 @@ main(int argc, char **argv)
     }
     if (!avx2_available)
         std::printf("batch8_avx2    skipped (host lacks AVX2)\n");
-    if (!avx512_available)
-        std::printf("batch8_avx512  skipped (host lacks AVX-512F or the "
-                    "kernel was not compiled in)\n");
     if (!quick) {
         const auto &p = lane.phases;
         const double total_ns = static_cast<double>(

@@ -109,8 +109,8 @@ runSweep(int threads)
 /** Table-2 static column on the lane engine vs classic stepping. */
 struct LaneEngineOutcome
 {
-    /** Kernel the batch side ran (best vector kernel the host has;
-     *  "scalar" where neither AVX-512 nor AVX2 can run). */
+    /** Kernel the batch side ran ("avx2" where the host runs it,
+     *  "scalar" elsewhere). */
     const char *kernel = "scalar";
     size_t cells = 0;
     double classicWallSeconds = 0.0;
@@ -131,10 +131,8 @@ LaneEngineOutcome
 runLaneEngineColumn()
 {
     LaneEngineOutcome out;
-    const sim::simd::Kernel kernel = sim::simd::avx512Available()
-        ? sim::simd::Kernel::Avx512
-        : sim::simd::avx2Available() ? sim::simd::Kernel::Avx2
-                                     : sim::simd::Kernel::Scalar;
+    const sim::simd::Kernel kernel = sim::simd::resolveKernel(
+        sim::simd::Policy::Auto, sim::simd::avx2Available());
     out.kernel = sim::simd::kernelName(kernel);
 
     std::vector<trace::PaperTrace> traces;

@@ -25,7 +25,7 @@
  *  - the backend load current is re-queried only when it can have
  *    changed (gate transitions and benchmark ticks), not every step;
  *  - the four physics phases run vectorized across all lanes at once
- *    (scalar/AVX2/AVX-512 kernels, sim/batch_stepper.hh), steps where
+ *    (scalar/AVX2 kernels, sim/batch_stepper.hh), steps where
  *    no lane harvests or draws load collapse to the quiet-step
  *    peephole (leak only -- bit-identical, see BatchStepper::step),
  *    and a nearly drained batch (at most two live cells) steps those
@@ -125,7 +125,7 @@ struct BatchPhaseStats
  * @param count Number of cells (>= 1; any size -- cells beyond the
  *        first kMaxLanes queue for lane refill).
  * @param config Shared runner options (grid sweeps share one config).
- * @param kernel Scalar, Avx2, or Avx512 (typically
+ * @param kernel Scalar or Avx2 (typically
  *        sim::simd::selectedKernel()).
  * @param stats Optional phase-timing sink; null (the default and the
  *        perf-run configuration) reads no clocks at all.

@@ -164,14 +164,6 @@ batchStepAvx2Lower(BatchLaneState &)
 }
 #endif
 
-#ifndef REACT_HAVE_AVX512_KERNEL
-void
-batchStepAvx512(BatchLaneState &)
-{
-    react_panic("AVX-512 lane kernel was not compiled into this binary");
-}
-#endif
-
 } // namespace detail
 
 BatchStepper::BatchStepper(simd::Kernel kernel, Seconds dt)
@@ -180,35 +172,13 @@ BatchStepper::BatchStepper(simd::Kernel kernel, Seconds dt)
     react_assert(dt > Seconds(0.0), "lane engine timestep must be positive");
     react_assert(kernel != simd::Kernel::Disabled,
                  "BatchStepper constructed with the lane engine disabled");
-    if (kernel == simd::Kernel::Avx2)
-        react_assert(simd::avx2Available(),
-                     "AVX2 lane kernel selected but unavailable "
-                     "(resolveKernel should have rejected this)");
-    if (kernel == simd::Kernel::Avx512)
-        react_assert(simd::avx512Available(),
-                     "AVX-512 lane kernel selected but unavailable "
-                     "(resolveKernel should have rejected this)");
-    switch (kernel) {
-    case simd::Kernel::Avx512:
-        stepFn = detail::batchStepAvx512;
-        break;
-    case simd::Kernel::Avx2:
-        stepFn = detail::batchStepAvx2;
-        break;
-    default:
-        stepFn = detail::batchStepScalar;
-        break;
-    }
-    // The half-width tail step: any AVX-512 part also runs AVX2, so
-    // both vector kernels share the 4-wide ymm lower step (the xmm/ymm
-    // divider is the win over a full-width zmm divide on ragged tails).
-#ifdef REACT_HAVE_AVX2_KERNEL
-    stepLowerFn = kernel == simd::Kernel::Scalar
-        ? detail::batchStepScalarLower
-        : detail::batchStepAvx2Lower;
-#else
-    stepLowerFn = detail::batchStepScalarLower;
-#endif
+    const bool avx2 = kernel == simd::Kernel::Avx2;
+    react_assert(!avx2 || simd::avx2Available(),
+                 "AVX2 lane kernel selected but unavailable on this host");
+    stepFn = avx2 ? detail::batchStepAvx2 : detail::batchStepScalar;
+    // The half-width tail step: lanes 0-3 in one 4-wide vector.
+    stepLowerFn =
+        avx2 ? detail::batchStepAvx2Lower : detail::batchStepScalarLower;
     state.dt = dt.raw();
     // Inert padding lanes: the kernels process all kMaxLanes
     // unconditionally, so unadmitted lanes carry values for which every

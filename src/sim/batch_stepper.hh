@@ -21,8 +21,8 @@
  *    skipped case: x * 1.0 == x, x + (+-0.0) == x for the x >= +0.0
  *    values that arise here, and accumulator += +0.0 never changes the
  *    accumulator's bits (ledger totals are never -0.0);
- *  - the vector translation units are compiled with -mavx2 / -mavx512f
- *    only (no FMA: neither flag enables it) plus -ffp-contract=off, so
+ *  - the vector translation unit is compiled with -mavx2 only (no
+ *    FMA: the flag does not enable it) plus -ffp-contract=off, so
  *    vector and scalar lanes round identically everywhere.
  *
  * Inactive (admitted-short or frozen) lanes carry inert values -- decay
@@ -30,8 +30,8 @@
  * kMaxLanes lanes unconditionally with no tail handling.
  *
  * Everything lives in fixed-capacity member arrays: admission, stepping,
- * and readout perform zero heap allocations (bench/micro_engine.cc's
- * operator-new audit enforces this).
+ * and readout perform zero heap allocations (tests/alloc_audit.cc
+ * enforces this).
  */
 
 #ifndef REACT_SIM_BATCH_STEPPER_HH
@@ -50,8 +50,8 @@ using units::Watts;
 
 /**
  * Lane-major state shared with the kernel translation units.  Arrays are
- * 64-byte aligned so both vector kernels use aligned loads/stores (one
- * full __m512d per array for AVX-512, two __m256d for AVX2).
+ * 64-byte aligned so the AVX2 kernel uses aligned loads/stores (two
+ * __m256d per array).
  */
 struct BatchLaneState
 {
@@ -123,10 +123,6 @@ void batchStepAvx2Lower(BatchLaneState &s);
  *  sequence (the stepLower fallback when no AVX2 TU is linked). */
 void batchStepScalarLower(BatchLaneState &s);
 
-/** AVX-512 lane kernel (batch_kernels_avx512.cc; only linked when the
- *  toolchain accepts -mavx512f).  Bit-identical to batchStepScalar. */
-void batchStepAvx512(BatchLaneState &s);
-
 } // namespace detail
 
 /** Per-lane state at batch admission (transposed from the cell's
@@ -162,10 +158,9 @@ class BatchStepper
     static constexpr int kMaxLanes = BatchLaneState::kMaxLanes;
 
     /**
-     * @param kernel Scalar, Avx2, or Avx512 (from simd::selectedKernel()
-     *        or an explicit test choice).  Disabled is a caller bug; a
-     *        vector kernel panics unless the matching
-     *        simd::*Available() probe holds.
+     * @param kernel Scalar or Avx2 (from simd::selectedKernel() or an
+     *        explicit test choice).  Disabled is a caller bug; Avx2
+     *        panics unless simd::avx2Available() holds.
      * @param dt Integration timestep shared by every lane.
      */
     BatchStepper(simd::Kernel kernel, Seconds dt);

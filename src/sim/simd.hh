@@ -2,33 +2,25 @@
  * @file
  * Runtime SIMD dispatch policy for the batch-of-cells lane engine.
  *
- * The batch stepper (sim/batch_stepper.hh) ships three kernels: a
- * portable scalar fallback, an AVX2 build, and an AVX-512 build of the
- * same operation sequence.  Which one runs is decided *once per
- * process* from two inputs:
- *
- *  - the host CPU (cpuid, via __builtin_cpu_supports), and
- *  - the REACT_SIMD environment knob, parsed through react::env:
+ * The batch stepper (sim/batch_stepper.hh) ships two kernels: a
+ * portable scalar fallback and an AVX2 build of the same operation
+ * sequence.  Whether the lane engine runs is the REACT_SIMD
+ * environment knob's choice, parsed through react::env:
  *
  *      unset / "off"  -> lane engine disabled; every cell runs the
  *                        classic per-cell scalar path (the bit-exact
  *                        default -- golden results never depend on an
  *                        env var being set);
- *      "scalar"       -> lane engine with the scalar kernel, pinned
- *                        (never a vector kernel, even on capable hosts);
- *      "auto"         -> best kernel the host and build support:
- *                        AVX-512 over AVX2 over scalar;
- *      "avx2"         -> AVX2 kernel, or a loud react_panic when the
- *                        host or build cannot run it -- requesting a
- *                        specific engine and silently getting another
- *                        would invalidate a benchmark run;
- *      "avx512"       -> AVX-512 kernel, with the same loud-failure
- *                        contract as "avx2";
+ *      "auto"         -> lane engine on;
  *      anything else  -> react_warn naming the accepted forms, then the
  *                        unset default (per the react::env contract).
  *
- * Every kernel computes bit-identical results (tests/test_batch_stepper.cc
- * proves it differentially), so the knob is a pure performance choice.
+ * Which kernel the engine runs is the host's choice, decided once per
+ * process: AVX2 when the CPU executes it (cpuid, via
+ * __builtin_cpu_supports) and the build compiled it in, scalar
+ * otherwise.  Both kernels compute bit-identical results
+ * (tests/test_batch_stepper.cc proves it differentially), so the
+ * choice is a pure performance matter.
  */
 
 #ifndef REACT_SIM_SIMD_HH
@@ -45,14 +37,8 @@ enum class Policy
 {
     /** Unset/off: classic per-cell stepping, no lane engine. */
     Off,
-    /** Best kernel the host supports (AVX2 if possible, else scalar). */
+    /** Lane engine on, with the best kernel the host supports. */
     Auto,
-    /** Lane engine with the scalar kernel, pinned. */
-    Scalar,
-    /** AVX2 kernel or fail loudly. */
-    Avx2,
-    /** AVX-512 kernel or fail loudly. */
-    Avx512,
 };
 
 /** Kernel the batch stepper will actually run. */
@@ -64,8 +50,6 @@ enum class Kernel
     Scalar,
     /** AVX2 4-wide double kernel (two vectors cover the 8 lanes). */
     Avx2,
-    /** AVX-512 8-wide double kernel (one vector covers the batch). */
-    Avx512,
 };
 
 /** Raw cpuid probe: does this host execute AVX2? */
@@ -77,20 +61,24 @@ bool avx2KernelCompiled();
 /** Both of the above: the AVX2 kernel can actually run here. */
 bool avx2Available();
 
-/** Raw cpuid probe: does this host execute AVX-512F? */
+/**
+ * Raw cpuid probe: does this host execute AVX-512F?  No kernel uses
+ * it; it stays only until ROADMAP item 3's benchmark change drops
+ * perfbench's host-fingerprint call.
+ */
 bool cpuSupportsAvx512f();
 
-/** Was the AVX-512 kernel translation unit compiled into this binary? */
-bool avx512KernelCompiled();
-
-/** Both of the above: the AVX-512 kernel can actually run here. */
+/**
+ * Always false: there is no AVX-512 kernel.  Stays only until ROADMAP
+ * item 3's benchmark change drops perfbench's call.
+ */
 bool avx512Available();
 
 /**
- * Parse a REACT_SIMD value.  Accepts "off", "auto", "scalar", "avx2",
- * "avx512" (exact, lower-case).  Anything else sets *malformed and
- * returns the unset default (Policy::Off); the caller owns the warning
- * so this stays pure and unit-testable.
+ * Parse a REACT_SIMD value.  Accepts "off" and "auto" (exact,
+ * lower-case).  Anything else sets *malformed and returns the unset
+ * default (Policy::Off); the caller owns the warning so this stays pure
+ * and unit-testable.
  */
 Policy parsePolicy(const std::string &value, bool *malformed);
 
@@ -99,18 +87,18 @@ Policy parsePolicy(const std::string &value, bool *malformed);
 Policy envPolicy();
 
 /**
- * Resolve a policy against host capability.  Pure: every input is
- * explicit so the negative paths (avx2/avx512 requested on an incapable
- * host panics; auto falls back) are unit-testable without real
- * hardware.
+ * Resolve a policy against host capability: Off -> Disabled, Auto ->
+ * Avx2 when @p avx2_available, else Scalar.  Pure, so the incapable-host
+ * path is unit-testable on any machine.  The third argument is ignored;
+ * it stays only until ROADMAP item 3's benchmark change drops
+ * perfbench's three-argument call.
  */
-Kernel resolveKernel(Policy policy, bool avx2_available,
-                     bool avx512_available);
+Kernel resolveKernel(Policy policy, bool avx2_available, bool = false);
 
 /**
  * The process-wide kernel selection: resolveKernel(envPolicy(),
- * avx2Available(), avx512Available()), read once and cached -- the
- * engine must not change between cells of one sweep.
+ * avx2Available()), read once and cached -- the engine must not change
+ * between cells of one sweep.
  */
 Kernel selectedKernel();
 

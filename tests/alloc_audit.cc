@@ -1,17 +1,12 @@
 /**
  * @file
- * Google-benchmark microbenchmarks for the simulator's hot loops: one
- * integration step per buffer architecture, the exact charge-transfer
- * kernel, AES-128, and trace generation.  These bound the wall-clock
- * cost of the table benches (hundreds of millions of steps).
+ * Heap-allocation audit of the engine's step paths, run as the
+ * `alloc_audit` ctest entry.
  *
- * The binary also audits the steady-state engine path for heap
- * allocations before running the benchmarks: global operator new/delete
- * are replaced with counting shims, each buffer architecture is stepped
- * through a warmed-up regime, and any allocation on that path fails the
- * process.  The per-step benchmarks additionally report an
- * `allocs_per_iter` counter so a regression is visible in the numbers,
- * not just the exit code.
+ * Global operator new/delete are replaced with counting shims; each
+ * buffer architecture and the batch lane engine are stepped through a
+ * window of steps, and any allocation on that path fails the process.
+ * One line per audited path is printed, tagged [ok] or [FAIL].
  */
 
 #include <atomic>
@@ -20,8 +15,6 @@
 #include <new>
 #include <vector>
 
-#include <benchmark/benchmark.h>
-
 #include "buffers/morphy_buffer.hh"
 #include "buffers/static_buffer.hh"
 #include "core/react_buffer.hh"
@@ -29,22 +22,21 @@
 #include "harness/paper_setup.hh"
 #include "harvest/frontend.hh"
 #include "sim/batch_stepper.hh"
-#include "sim/charge_transfer.hh"
 #include "sim/simd.hh"
-#include "trace/generator.hh"
 #include "trace/power_trace.hh"
-#include "workload/aes128.hh"
 #include "workload/de_benchmark.hh"
 
 // ---------------------------------------------------------------------------
 // Counting allocator shims.  Relaxed ordering suffices: the audit reads the
-// counter on the same thread that allocates, and the benchmarks only need a
-// statistically meaningful count.
+// counter on the same thread that allocates.
 // ---------------------------------------------------------------------------
 
 namespace {
 
 std::atomic<uint64_t> g_allocCount{0};
+
+/** Written after every audited step so the loops cannot be elided. */
+volatile double g_sink = 0.0;
 
 uint64_t
 allocCount()
@@ -111,8 +103,7 @@ using namespace react;
 // Warm each architecture past its transient (bank bring-up, ladder climb),
 // then count heap allocations over a window of steps.  The engine contract
 // -- established by preallocating the CapacitorNetwork topology scratch --
-// is *zero* on this path; any count is a regression and fails the binary
-// before the benchmarks run.
+// is *zero* on this path; any count is a regression and fails the binary.
 // ---------------------------------------------------------------------------
 
 template <typename Buffer>
@@ -123,7 +114,7 @@ auditSteps(Buffer &buf, int steps)
     for (int i = 0; i < steps; ++i) {
         buf.step(units::Seconds(1e-3), units::Watts(3e-3),
                  units::Amps(1e-3));
-        benchmark::DoNotOptimize(buf.railVoltage());
+        g_sink = buf.railVoltage().raw();
     }
     return allocCount() - before;
 }
@@ -193,8 +184,6 @@ runAllocationAudit()
             sim::simd::Kernel::Scalar};
         if (sim::simd::avx2Available())
             kernels.push_back(sim::simd::Kernel::Avx2);
-        if (sim::simd::avx512Available())
-            kernels.push_back(sim::simd::Kernel::Avx512);
         for (const auto kernel : kernels) {
             const uint64_t before = allocCount();
             sim::BatchStepper stepper(kernel, units::Seconds(1e-3));
@@ -213,15 +202,13 @@ runAllocationAudit()
             // step, covering admission and the post-transpose step.
             for (int i = 0; i < kAuditSteps; ++i) {
                 stepper.step();
-                benchmark::DoNotOptimize(stepper.voltage(0));
+                g_sink = stepper.voltage(0);
             }
             stepper.setLaneCapacitance(0, units::Farads(9.9e-3), 0.9999999);
             stepper.freezeLane(1);
             stepper.step();
-            const char *name = kernel == sim::simd::Kernel::Avx512
-                ? "BatchStepper avx512"
-                : kernel == sim::simd::Kernel::Avx2
-                    ? "BatchStepper avx2" : "BatchStepper scalar";
+            const char *name = kernel == sim::simd::Kernel::Avx2
+                ? "BatchStepper avx2" : "BatchStepper scalar";
             report(name, allocCount() - before);
         }
     }
@@ -285,128 +272,10 @@ runAllocationAudit()
     return failures;
 }
 
-// ---------------------------------------------------------------------------
-// Microbenchmarks.
-// ---------------------------------------------------------------------------
-
-void
-BM_StaticBufferStep(benchmark::State &state)
-{
-    buffer::StaticBuffer buf(
-        harness::staticBufferSpec(units::Farads(10e-3)));
-    const uint64_t before = allocCount();
-    for (auto _ : state) {
-        buf.step(units::Seconds(1e-3), units::Watts(2e-3),
-                 units::Amps(1e-3));
-        benchmark::DoNotOptimize(buf.railVoltage());
-    }
-    state.counters["allocs_per_iter"] = benchmark::Counter(
-        static_cast<double>(allocCount() - before),
-        benchmark::Counter::kAvgIterations);
-}
-BENCHMARK(BM_StaticBufferStep);
-
-void
-BM_ReactBufferStep(benchmark::State &state)
-{
-    core::ReactBuffer buf;
-    for (int i = 0; i < 5000; ++i)
-        buf.step(units::Seconds(1e-3), units::Watts(3e-3),
-                 units::Amps(0.0));
-    buf.notifyBackendPower(true);
-    const uint64_t before = allocCount();
-    for (auto _ : state) {
-        buf.step(units::Seconds(1e-3), units::Watts(3e-3),
-                 units::Amps(1e-3));
-        benchmark::DoNotOptimize(buf.railVoltage());
-    }
-    state.counters["allocs_per_iter"] = benchmark::Counter(
-        static_cast<double>(allocCount() - before),
-        benchmark::Counter::kAvgIterations);
-}
-BENCHMARK(BM_ReactBufferStep);
-
-void
-BM_MorphyBufferStep(benchmark::State &state)
-{
-    buffer::MorphyBuffer buf;
-    for (int i = 0; i < 5000; ++i)
-        buf.step(units::Seconds(1e-3), units::Watts(3e-3),
-                 units::Amps(0.0));
-    const uint64_t before = allocCount();
-    for (auto _ : state) {
-        buf.step(units::Seconds(1e-3), units::Watts(3e-3),
-                 units::Amps(1e-3));
-        benchmark::DoNotOptimize(buf.railVoltage());
-    }
-    state.counters["allocs_per_iter"] = benchmark::Counter(
-        static_cast<double>(allocCount() - before),
-        benchmark::Counter::kAvgIterations);
-}
-BENCHMARK(BM_MorphyBufferStep);
-
-void
-BM_ChargeTransfer(benchmark::State &state)
-{
-    sim::CapacitorSpec spec;
-    spec.capacitance = units::Farads(1e-3);
-    spec.ratedVoltage = units::Volts(6.3);
-    sim::Capacitor a(spec, units::Volts(3.5)), b(spec, units::Volts(1.9));
-    for (auto _ : state) {
-        auto r = sim::transferCharge(a, b, units::Ohms(1.0),
-                                     units::Volts(0.01),
-                                     units::Seconds(1e-3));
-        benchmark::DoNotOptimize(r.charge);
-        // Keep the pair from settling so the kernel stays on the hot
-        // path.
-        a.setVoltage(units::Volts(3.5));
-        b.setVoltage(units::Volts(1.9));
-    }
-}
-BENCHMARK(BM_ChargeTransfer);
-
-void
-BM_Aes128Block(benchmark::State &state)
-{
-    workload::Aes128 aes({0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6,
-                          0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf, 0x4f,
-                          0x3c});
-    workload::Aes128::Block block{};
-    for (auto _ : state) {
-        block = aes.encrypt(block);
-        benchmark::DoNotOptimize(block);
-    }
-}
-BENCHMARK(BM_Aes128Block);
-
-void
-BM_TraceGeneration(benchmark::State &state)
-{
-    trace::VolatileSourceParams p;
-    p.duration = static_cast<double>(state.range(0));
-    p.targetMeanPower = 1e-3;
-    p.targetCv = 1.5;
-    uint64_t seed = 1;
-    for (auto _ : state) {
-        Rng rng(seed++);
-        auto t = trace::generateVolatileSource(p, rng);
-        benchmark::DoNotOptimize(t.totalEnergy());
-    }
-}
-BENCHMARK(BM_TraceGeneration)->Arg(60)->Arg(300);
-
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    const int audit_failures = runAllocationAudit();
-
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv))
-        return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-
-    return audit_failures == 0 ? 0 : 1;
+    return runAllocationAudit() == 0 ? 0 : 1;
 }

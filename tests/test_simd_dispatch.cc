@@ -1,13 +1,12 @@
 /**
  * @file
  * REACT_SIMD runtime-dispatch contract (sim/simd.hh): parsing, the
- * resolution matrix, and the three negative paths the ISSUE pins --
- * an explicit avx2 request on an incapable host fails loudly, "scalar"
- * pins the scalar kernel even when AVX2 exists, and malformed values
- * warn and fall back to the unset default.
+ * resolution matrix, and the negative path -- malformed values
+ * (including the retired kernel pins) warn and fall back to the unset
+ * default.
  *
  * resolveKernel is pure (policy and capability are explicit inputs), so
- * the incapable-host paths are testable on any machine, including AVX2
+ * the incapable-host path is testable on any machine, including AVX2
  * ones.
  */
 
@@ -15,7 +14,6 @@
 
 #include <cstdlib>
 
-#include "sim/batch_stepper.hh"
 #include "sim/simd.hh"
 
 namespace react {
@@ -23,27 +21,41 @@ namespace sim {
 namespace simd {
 namespace {
 
-TEST(SimdDispatch, ParsePolicyAcceptsTheFiveForms)
+TEST(SimdDispatch, ParsePolicyAcceptsOffAndAuto)
 {
     bool malformed = true;
     EXPECT_EQ(parsePolicy("off", &malformed), Policy::Off);
     EXPECT_FALSE(malformed);
     EXPECT_EQ(parsePolicy("auto", &malformed), Policy::Auto);
     EXPECT_FALSE(malformed);
-    EXPECT_EQ(parsePolicy("scalar", &malformed), Policy::Scalar);
-    EXPECT_FALSE(malformed);
-    EXPECT_EQ(parsePolicy("avx2", &malformed), Policy::Avx2);
-    EXPECT_FALSE(malformed);
-    EXPECT_EQ(parsePolicy("avx512", &malformed), Policy::Avx512);
-    EXPECT_FALSE(malformed);
+}
+
+TEST(SimdDispatch, RetiredKernelPinsWarnAndResolveDisabled)
+{
+    // The host picks the kernel; the old scalar/avx2/avx512 pins are
+    // malformed now and mean off, like any other unknown value.
+    for (const char *retired : {"scalar", "avx2", "avx512"}) {
+        bool malformed = false;
+        const Policy policy = parsePolicy(retired, &malformed);
+        EXPECT_TRUE(malformed) << retired;
+        EXPECT_EQ(resolveKernel(policy, avx2Available()), Kernel::Disabled)
+            << retired;
+
+        ASSERT_EQ(::setenv("REACT_SIMD", retired, 1), 0);
+        testing::internal::CaptureStderr();
+        EXPECT_EQ(envPolicy(), Policy::Off) << retired;
+        const std::string log = testing::internal::GetCapturedStderr();
+        EXPECT_NE(log.find("defaulting to off"), std::string::npos) << log;
+    }
+    ASSERT_EQ(::unsetenv("REACT_SIMD"), 0);
 }
 
 TEST(SimdDispatch, ParsePolicyFlagsEverythingElseMalformed)
 {
     // Per the react::env contract, a malformed value warns (the caller
     // owns the warning) and behaves as unset -- never a silent guess.
-    for (const char *bad : {"", "AVX2", "Auto", "sse", "AVX512", "on",
-                            "1", "scalar ", " avx2", "avx512f"}) {
+    for (const char *bad : {"", "AVX2", "Auto", "sse", "on", "1", "off ",
+                            " auto"}) {
         bool malformed = false;
         EXPECT_EQ(parsePolicy(bad, &malformed), Policy::Off)
             << "'" << bad << "'";
@@ -53,63 +65,27 @@ TEST(SimdDispatch, ParsePolicyFlagsEverythingElseMalformed)
 
 TEST(SimdDispatch, ResolutionMatrix)
 {
-    // Off never engages the lane engine; scalar is pinned regardless of
-    // capability; auto takes the widest available kernel (legal only
-    // because every kernel is proven bit-identical).
+    // Off never engages the lane engine; auto takes AVX2 exactly when
+    // it can run (legal only because both kernels are proven
+    // bit-identical).  The ignored third argument changes nothing.
     for (const bool avx2 : {false, true}) {
-        for (const bool avx512 : {false, true}) {
-            EXPECT_EQ(resolveKernel(Policy::Off, avx2, avx512),
+        for (const bool ignored : {false, true}) {
+            EXPECT_EQ(resolveKernel(Policy::Off, avx2, ignored),
                       Kernel::Disabled);
-            EXPECT_EQ(resolveKernel(Policy::Scalar, avx2, avx512),
-                      Kernel::Scalar);
+            EXPECT_EQ(resolveKernel(Policy::Auto, avx2, ignored),
+                      avx2 ? Kernel::Avx2 : Kernel::Scalar);
         }
     }
-    EXPECT_EQ(resolveKernel(Policy::Auto, false, false), Kernel::Scalar);
-    EXPECT_EQ(resolveKernel(Policy::Auto, true, false), Kernel::Avx2);
-    EXPECT_EQ(resolveKernel(Policy::Auto, true, true), Kernel::Avx512);
-    EXPECT_EQ(resolveKernel(Policy::Auto, false, true), Kernel::Avx512);
-    EXPECT_EQ(resolveKernel(Policy::Avx2, true, false), Kernel::Avx2);
-    EXPECT_EQ(resolveKernel(Policy::Avx512, false, true), Kernel::Avx512);
-}
-
-TEST(SimdDispatchDeathTest, ExplicitAvx2RequestFailsLoudlyWhenUnavailable)
-{
-    // REACT_SIMD=avx2 on a host (or build) that cannot run the AVX2
-    // kernel must panic, naming the cause and the fallback knob --
-    // silently handing back the scalar engine would report the wrong
-    // machine's numbers.
-    EXPECT_DEATH(resolveKernel(Policy::Avx2, false, false),
-                 "REACT_SIMD=avx2 requested but the AVX2 lane kernel "
-                 "cannot run here");
-}
-
-TEST(SimdDispatchDeathTest, ExplicitAvx512RequestFailsLoudlyWhenUnavailable)
-{
-    // Same contract one step wider; note avx2 capability is NOT an
-    // acceptable substitute -- the request named avx512.
-    EXPECT_DEATH(resolveKernel(Policy::Avx512, true, false),
-                 "REACT_SIMD=avx512 requested but the AVX-512 lane "
-                 "kernel cannot run here");
-}
-
-TEST(SimdDispatch, ScalarPinsTheScalarKernelEndToEnd)
-{
-    // On an AVX2-capable host, Policy::Scalar must still hand the batch
-    // stepper the scalar kernel -- the pin is what makes scalar-vs-avx2
-    // A/B runs trustworthy.
-    const Kernel kernel =
-        resolveKernel(Policy::Scalar, avx2Available(), avx512Available());
-    ASSERT_EQ(kernel, Kernel::Scalar);
-    BatchStepper stepper(kernel, units::Seconds(1e-3));
-    EXPECT_EQ(stepper.kernel(), Kernel::Scalar);
+    EXPECT_EQ(resolveKernel(Policy::Auto, avx2Available()),
+              avx2Available() ? Kernel::Avx2 : Kernel::Scalar);
 }
 
 TEST(SimdDispatch, EnvPolicyReadsReactSimd)
 {
     // envPolicy (unlike the process-cached selectedKernel) re-reads the
     // environment, so the env surface is testable in-process.
-    ASSERT_EQ(::setenv("REACT_SIMD", "scalar", 1), 0);
-    EXPECT_EQ(envPolicy(), Policy::Scalar);
+    ASSERT_EQ(::setenv("REACT_SIMD", "off", 1), 0);
+    EXPECT_EQ(envPolicy(), Policy::Off);
     ASSERT_EQ(::setenv("REACT_SIMD", "auto", 1), 0);
     EXPECT_EQ(envPolicy(), Policy::Auto);
     ASSERT_EQ(::unsetenv("REACT_SIMD"), 0);
@@ -128,22 +104,18 @@ TEST(SimdDispatch, MalformedEnvValueWarnsAndDefaultsOff)
     EXPECT_EQ(policy, Policy::Off);
     EXPECT_NE(log.find("REACT_SIMD"), std::string::npos) << log;
     EXPECT_NE(log.find("defaulting to off"), std::string::npos) << log;
-    EXPECT_EQ(resolveKernel(policy, avx2Available(), avx512Available()),
-              Kernel::Disabled);
+    EXPECT_EQ(resolveKernel(policy, avx2Available()), Kernel::Disabled);
 }
 
 TEST(SimdDispatch, CapabilityProbesAgree)
 {
-    // Each *Available probe is the conjunction of its cpu probe and
-    // build probe; kernelName covers every enumerator (BENCH_*.json
-    // relies on the strings).
+    // avx2Available is the conjunction of the cpu probe and the build
+    // probe; kernelName covers every enumerator (BENCH_*.json relies on
+    // the strings).
     EXPECT_EQ(avx2Available(), cpuSupportsAvx2() && avx2KernelCompiled());
-    EXPECT_EQ(avx512Available(),
-              cpuSupportsAvx512f() && avx512KernelCompiled());
     EXPECT_STREQ(kernelName(Kernel::Disabled), "disabled");
     EXPECT_STREQ(kernelName(Kernel::Scalar), "scalar");
     EXPECT_STREQ(kernelName(Kernel::Avx2), "avx2");
-    EXPECT_STREQ(kernelName(Kernel::Avx512), "avx512");
 }
 
 } // namespace
