@@ -176,7 +176,7 @@ BatchStepper::BatchStepper(simd::Kernel kernel, Seconds dt)
     react_assert(!avx2 || simd::avx2Available(),
                  "AVX2 lane kernel selected but unavailable on this host");
     stepFn = avx2 ? detail::batchStepAvx2 : detail::batchStepScalar;
-    // The half-width tail step: lanes 0-3 in one 4-wide vector.
+    // The half-width tail step: lanes 0-3 only (see stepLower).
     stepLowerFn =
         avx2 ? detail::batchStepAvx2Lower : detail::batchStepScalarLower;
     state.dt = dt.raw();
