@@ -331,9 +331,9 @@ Engine::admit(int slot)
     else
         agingMask &= static_cast<uint8_t>(~bit);
 
-    // Precompile the frontend into power spans (the per-step trace
-    // index arithmetic and converter evaluation happen here, once per
-    // distinct sample run, instead of once per step).
+    // Precompile the frontend into power spans: the trace index
+    // arithmetic runs a few times per sample and the converter once per
+    // span, here at admission instead of once per step in the hot loop.
     lane.run.frontend.compileStepSpans(units::Seconds(config.dt),
                                        lane.spans);
     lane.spanIdx = 0;

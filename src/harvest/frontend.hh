@@ -51,7 +51,9 @@ class HarvesterFrontend
      * yield equal output bits, so one evaluation covers every step of
      * the span -- and adjacent spans with bit-equal outputs are merged.
      * Sweeping the result is bit-identical to calling power() every
-     * step; the lane engine's hot loop relies on exactly that.
+     * step; the lane engine's hot loop relies on exactly that.  Cost is
+     * O(trace samples) index arithmetic plus one converter evaluation
+     * per raw span, independent of the number of steps.
      *
      * @param step_dt Replay timestep (> 0).
      * @param out Receives the spans (appended; not cleared).

@@ -128,6 +128,153 @@ sameBits(double a, double b)
     return ab == bb;
 }
 
+/**
+ * Cursor over the accumulated replay clock `t_1 = step_dt, t_{k+1} =
+ * t_k + step_dt` (each sum rounded) that reach() advances to the first
+ * step whose sample index reaches a target without visiting the steps
+ * in between.
+ *
+ * Inside one binade [2^(e-1), 2^e) every double is a multiple of its
+ * ulp u, so t_k + step_dt rounds to t_k + delta with delta = step_dt
+ * rounded to a multiple of u -- the same delta for every t_k in the
+ * binade, unless step_dt is a rounding tie against u (fmod(step_dt, u)
+ * == u/2: round-to-even then depends on t_k's parity).  A sum that
+ * lands within u/2 of the binade top 2^e rounds to 2^e itself, so in a
+ * non-tie binade step k0 + j is exactly t_k0 + j*delta for every j with
+ * t_k0 + j*delta <= 2^e (j*delta is then an exact multiple of u).  The
+ * first step whose index reaches a sample g follows from an estimate of
+ * (g*dt - t_k0) / delta, refined with the monotone index predicate.
+ * Tie binades take exact single steps.
+ */
+class ReplayClock
+{
+  public:
+    ReplayClock(double step_dt, double sample_dt)
+        : stepDt(step_dt), sampleDt(sample_dt), t(step_dt),
+          idx(indexAt(step_dt))
+    {
+    }
+
+    /** power()'s sample index at the current step. */
+    size_t index() const { return idx; }
+
+    /** Advance to the first step whose index is >= @p g (staying put
+     *  if the current one's already is); return its step number. */
+    uint64_t
+    reach(size_t g)
+    {
+        while (idx < g) {
+            if (k >= endK && !enterStretch()) {
+                singleStep();
+                continue;
+            }
+            // Estimate the first stretch offset j whose step reaches g,
+            // then walk the monotone predicate to its exact edge.
+            const uint64_t lo = k - anchorK + 1, hi = endK - anchorK;
+            const double est =
+                (static_cast<double>(g) * sampleDt - anchorT) * invDelta;
+            uint64_t j = !(est > static_cast<double>(lo)) ? lo
+                : est < static_cast<double>(hi)
+                    ? static_cast<uint64_t>(est)
+                    : hi;
+            size_t at = indexAt(stretchT(j));
+            if (at >= g) {
+                while (j > lo) {
+                    const size_t below = indexAt(stretchT(j - 1));
+                    if (below < g)
+                        break;
+                    --j;
+                    at = below;
+                }
+            } else {
+                // Past hi the stretch is spent; the outer loop goes on
+                // from its last step.
+                while (j < hi) {
+                    at = indexAt(stretchT(++j));
+                    if (at >= g)
+                        break;
+                }
+            }
+            t = stretchT(j);
+            k = anchorK + j;
+            idx = at;
+        }
+        return k;
+    }
+
+  private:
+    size_t indexAt(double x) const
+    {
+        return static_cast<size_t>(x / sampleDt);
+    }
+
+    /** Time of the stretch's step anchorK + j (exact up to endK). */
+    double stretchT(uint64_t j) const
+    {
+        return anchorT + static_cast<double>(j) * delta;
+    }
+
+    void
+    singleStep()
+    {
+        const double next = t + stepDt;
+        react_assert(next > t,
+                     "span replay stalls: t + step_dt == t at t = %g "
+                     "(step_dt = %g)",
+                     t, stepDt);
+        t = next;
+        ++k;
+        idx = indexAt(t);
+    }
+
+    /** Anchor a closed-form stretch at the current step; false when the
+     *  next step must be a single one (tie binade, subnormal t, a
+     *  stalled clock, or the binade top within one delta). */
+    bool
+    enterStretch()
+    {
+        if (t < singleUntil || !std::isnormal(t))
+            return false;
+        int e = 0;
+        std::frexp(t, &e);                      // t in [2^(e-1), 2^e)
+        const double top = std::ldexp(1.0, e);
+        const double ulp = std::ldexp(1.0, e - 53);
+        singleUntil = top;
+        if (std::fmod(stepDt, ulp) == 0.5 * ulp)
+            return false;
+        delta = (t + stepDt) - t;
+        if (delta == 0.0)
+            return false;                       // singleStep() panics
+        // top - t and delta are multiples of ulp below 2^53 ulps, so
+        // this floor is exact.
+        const double q = std::floor((top - t) / delta);
+        if (q < 1.0)
+            return false;
+        invDelta = 1.0 / delta;
+        anchorT = t;
+        anchorK = k;
+        endK = k + static_cast<uint64_t>(q);
+        return true;
+    }
+
+    const double stepDt;
+    const double sampleDt;
+    /** Current step: number k (1-based), time t, sample index idx. */
+    double t;
+    uint64_t k = 1;
+    size_t idx;
+    /** Stretch: step anchorK + j is at anchorT + j*delta for every
+     *  step up to endK. */
+    double anchorT = 0.0;
+    uint64_t anchorK = 0;
+    uint64_t endK = 0;
+    double delta = 0.0;
+    double invDelta = 0.0;
+    /** Single-step while t is below this (the current binade's top
+     *  once its stretch, if any, is spent). */
+    double singleUntil = 0.0;
+};
+
 } // namespace
 
 void
@@ -136,30 +283,34 @@ PowerTrace::compileStepSpans(double step_dt,
 {
     react_assert(step_dt > 0.0, "span replay timestep must be positive");
     const size_t n = samples.size();
-    double t = 0.0;
+    // At most one span per sample plus the tail: the lane engine's span
+    // table is allocated once, at its final size.
+    out.reserve(out.size() + n + 1);
+    // The index is monotone in the step number, so sample i replays
+    // from the first step with index >= i up to the first with index
+    // >= i + 1 (no steps: the replay skips it).
+    ReplayClock replay(step_dt, dt);
+    uint64_t begin = 1;
     double current = 0.0;
     uint64_t run = 0;
-    if (n > 0) {
-        for (;;) {
-            // Exactly power()'s arithmetic under the caller's
-            // accumulated t (t > 0 always holds here).
-            t += step_dt;
-            const size_t idx = static_cast<size_t>(t / dt);
-            if (idx >= n)
-                break;
-            const double w = samples[idx];
-            if (run > 0 && sameBits(w, current)) {
-                ++run;
-                continue;
-            }
-            if (run > 0)
-                out.push_back({current, run});
-            current = w;
-            run = 1;
+    for (size_t i = replay.index(); i < n; ++i) {
+        const uint64_t end = replay.reach(i + 1);
+        const uint64_t steps = end - begin;
+        begin = end;
+        if (steps == 0)
+            continue;
+        const double w = samples[i];
+        if (run > 0 && sameBits(w, current)) {
+            run += steps;
+            continue;
         }
         if (run > 0)
             out.push_back({current, run});
+        current = w;
+        run = steps;
     }
+    if (run > 0)
+        out.push_back({current, run});
     // Past the trace end power() is 0.0 forever (t only grows).
     out.push_back({0.0, StepSpan::kOpenEnded});
 }

@@ -107,13 +107,22 @@ class PowerTrace
     /**
      * Compile the fixed-dt replay `t = 0; repeat { t += step_dt;
      * power(t); }` into run-length spans, appended to @p out.  The
-     * boundaries come from replaying that exact accumulated-t sequence
-     * (including its floating-point rounding) through power()'s own
-     * index arithmetic, so sweeping the spans yields bit-identical
-     * power values to calling power() every step -- this is what lets
-     * the lane engine hoist trace sampling out of its hot loop.  The
-     * final span is the unbounded zero tail past the trace end
+     * boundaries come from that exact accumulated-t sequence (including
+     * its floating-point rounding) through power()'s own index
+     * arithmetic, so sweeping the spans yields bit-identical power
+     * values to calling power() every step -- this is what lets the
+     * lane engine hoist trace sampling out of its hot loop.  The final
+     * span is the unbounded zero tail past the trace end
      * (StepSpan::kOpenEnded).
+     *
+     * Cost is O(samples), not O(steps): within one binade of t the
+     * rounded sums advance by a fixed increment, so each sample's first
+     * step is solved for in closed form and checked with a few index
+     * divisions; only steps near a binade top, and binades where
+     * step_dt is a rounding tie, are replayed one by one.  @p out
+     * grows by at most samples + 1 spans and is reserved for that up
+     * front.  Panics if t + step_dt == t before the trace ends (a step
+     * too small to advance the clock).
      *
      * @param step_dt Replay timestep, seconds (> 0).
      * @param out Receives the spans (appended; not cleared).

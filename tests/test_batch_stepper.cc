@@ -649,6 +649,211 @@ TEST(FrontendSpanCompilation, ReplaysPerStepPowerBitExactly)
     }
 }
 
+/**
+ * The per-step replay PowerTrace::compileStepSpans computes in closed
+ * form: accumulate t step by step, index the trace with power()'s
+ * arithmetic, and merge bit-equal neighbours.  Kept here as the oracle.
+ */
+std::vector<trace::StepSpan>
+perStepSpans(const PowerTrace &trace, double step_dt)
+{
+    std::vector<trace::StepSpan> out;
+    const auto &samples = trace.data();
+    double t = 0.0;
+    double current = 0.0;
+    uint64_t run = 0;
+    if (!samples.empty()) {
+        for (;;) {
+            t += step_dt;
+            const size_t idx = static_cast<size_t>(t / trace.sampleDt());
+            if (idx >= samples.size())
+                break;
+            const double w = samples[idx];
+            if (run > 0 && bits(w) == bits(current)) {
+                ++run;
+                continue;
+            }
+            if (run > 0)
+                out.push_back({current, run});
+            current = w;
+            run = 1;
+        }
+        if (run > 0)
+            out.push_back({current, run});
+    }
+    out.push_back({0.0, trace::StepSpan::kOpenEnded});
+    return out;
+}
+
+/** Compile @p trace at @p step_dt and compare with the per-step oracle:
+ *  same span count, and every span's step count and watts bits. */
+::testing::AssertionResult
+matchesPerStepReplay(const PowerTrace &trace, double step_dt)
+{
+    std::vector<trace::StepSpan> got;
+    trace.compileStepSpans(step_dt, got);
+    const auto want = perStepSpans(trace, step_dt);
+    const size_t n = std::min(got.size(), want.size());
+    for (size_t i = 0; i < n; ++i) {
+        if (got[i].steps != want[i].steps ||
+            bits(got[i].watts) != bits(want[i].watts))
+            return ::testing::AssertionFailure()
+                   << "span " << i << ": got " << got[i].steps << " x "
+                   << got[i].watts << ", want " << want[i].steps << " x "
+                   << want[i].watts;
+    }
+    if (got.size() != want.size())
+        return ::testing::AssertionFailure()
+               << got.size() << " spans, want " << want.size();
+    return ::testing::AssertionSuccess();
+}
+
+/** Replay-setup label for failure messages (%.17g round-trips). */
+std::string
+replayCase(double sample_dt, double step_dt, size_t samples)
+{
+    char buf[128];
+    std::snprintf(buf, sizeof(buf), "sample_dt=%.17g step_dt=%.17g n=%zu",
+                  sample_dt, step_dt, samples);
+    return buf;
+}
+
+TEST(FrontendSpanCompilation, ClosedFormMatchesPerStepReplayOnPaperTraces)
+{
+    for (const auto which : trace::kAllPaperTraces) {
+        const PowerTrace &trace = evaluationTrace(which);
+        for (const double step_dt : {1e-3, 0.5e-3, 0.25e-3}) {
+            EXPECT_TRUE(matchesPerStepReplay(trace, step_dt))
+                << trace::paperTraceName(which) << " at step_dt "
+                << step_dt;
+        }
+    }
+}
+
+TEST(FrontendSpanCompilation, ClosedFormMatchesPerStepReplayOnRandomTraces)
+{
+    // Seeded (sample dt, step dt, length) draws.  Step dts cover equal
+    // to, a third of, ragged fractions of, and larger than the sample
+    // dt (skipped samples); lengths include 1 and 2 samples; sample
+    // values come from a small palette (with -0.0) so bit-equal
+    // neighbours merge and +0.0/-0.0 neighbours must not.
+    constexpr int kDraws = 2400;
+    Rng rng(0x5fa9c0deull);
+    const std::array<double, 6> palette = {0.0,  -0.0, 1e-3,
+                                           2e-3, 0.5,  7.25e-4};
+    int equal = 0, third = 0, larger = 0, tiny = 0;
+    for (int i = 0; i < kDraws; ++i) {
+        const double sample_dt = rng.chance(0.3)
+            ? std::array<double, 5>{1e-3, 5e-3, 0.05, 0.1, 1.0 / 3.0}
+                  [static_cast<size_t>(rng.uniformInt(0, 4))]
+            : std::exp(rng.uniform(std::log(1e-4), std::log(2.0)));
+        double step_dt = 0.0;
+        switch (rng.uniformInt(0, 4)) {
+          case 0:
+            step_dt = sample_dt;
+            ++equal;
+            break;
+          case 1:
+            step_dt = sample_dt / 3.0;
+            ++third;
+            break;
+          case 2:
+            step_dt = sample_dt * rng.uniform(1.0, 4.0);
+            ++larger;
+            break;
+          default:
+            step_dt = sample_dt / std::exp(rng.uniform(0.0, std::log(300.0)));
+            break;
+        }
+        const int length_kind = rng.uniformInt(0, 9);
+        const size_t n = length_kind == 0 ? 1
+            : length_kind == 1            ? 2
+                                          : static_cast<size_t>(
+                                     rng.uniformInt(3, 400));
+        if (n <= 2)
+            ++tiny;
+        std::vector<double> samples(n);
+        for (size_t s = 0; s < n; ++s) {
+            samples[s] = s > 0 && rng.chance(0.4)
+                ? samples[s - 1]
+                : palette[static_cast<size_t>(rng.uniformInt(0, 5))];
+        }
+        const PowerTrace trace(sample_dt, std::move(samples));
+        ASSERT_TRUE(matchesPerStepReplay(trace, step_dt))
+            << "draw " << i << ": " << replayCase(sample_dt, step_dt, n);
+    }
+    // Every regime the draw claims to hit is hit.
+    EXPECT_GE(equal, 300);
+    EXPECT_GE(third, 300);
+    EXPECT_GE(larger, 300);
+    EXPECT_GE(tiny, 300);
+}
+
+TEST(FrontendSpanCompilation, ClosedFormMatchesPerStepReplayAcrossTieBinades)
+{
+    // step_dt = (a + 1/2) * u is a rounding tie against the ulp u of
+    // the binade [2^p, 2^(p+1)): there, t + step_dt rounds to even, so
+    // the increment from an odd multiple of u differs from the one from
+    // an even multiple, and a delta taken at the binade's first step
+    // describes the rest only if that step is even.  Each trace runs to
+    // 8x the binade bottom, crossing several binades on either side;
+    // the whole-ulp counts a vary the parity of the first step inside
+    // the tie binade, and both parities must be hit.
+    int odd_entries = 0, even_entries = 0;
+    for (const int p : {1, -3, 4, -8}) {
+        const double u = std::ldexp(1.0, p - 52);
+        const double bottom = std::ldexp(1.0, p);
+        for (int i = 0; i < 12; ++i) {
+            const double a = std::floor(0x1p39 * (1.0 + i / 12.0)) + i;
+            const double step_dt = (a + 0.5) * u;
+            ASSERT_EQ(std::fmod(step_dt, u), 0.5 * u);
+            double entry = 0.0;
+            while (entry < bottom)
+                entry += step_dt;
+            ++(std::fmod(entry, 2.0 * u) == 0.0 ? even_entries
+                                                : odd_entries);
+            for (const double per_step : {1.0, 3.0, 0.75, 1.0 / 7.0}) {
+                const double sample_dt = step_dt * per_step;
+                const size_t n =
+                    static_cast<size_t>(8.0 * bottom / sample_dt) + 1;
+                std::vector<double> samples(n);
+                for (size_t s = 0; s < n; ++s)
+                    samples[s] = static_cast<double>(s % 3);
+                const PowerTrace trace(sample_dt, std::move(samples));
+                EXPECT_TRUE(matchesPerStepReplay(trace, step_dt))
+                    << replayCase(sample_dt, step_dt, n);
+            }
+        }
+    }
+    EXPECT_GE(odd_entries, 8);
+    EXPECT_GE(even_entries, 8);
+    // The smallest tie: step_dt = 1 + 2^-52 ties against [2, 4)'s ulp.
+    const double step_dt = 1.0 + 0x1p-52;
+    for (const double sample_dt : {0.5, 1.0 / 3.0, step_dt, 0.01}) {
+        const size_t n = static_cast<size_t>(64.0 / sample_dt);
+        std::vector<double> samples(n);
+        for (size_t s = 0; s < n; ++s)
+            samples[s] = static_cast<double>(s);
+        const PowerTrace trace(sample_dt, std::move(samples));
+        EXPECT_TRUE(matchesPerStepReplay(trace, step_dt))
+            << replayCase(sample_dt, step_dt, n);
+    }
+}
+
+TEST(FrontendSpanCompilationDeathTest, StalledReplayPanics)
+{
+    // A step below half an ulp of t stops the accumulated clock before
+    // the trace ends; the per-step replay would spin forever.
+    const PowerTrace trace(1.0, {1.0, 2.0, 3.0, 4.0});
+    std::vector<trace::StepSpan> spans;
+    // Stalls on a tie (t = 2^-7, step = ulp/2, t's mantissa even).
+    EXPECT_DEATH(trace.compileStepSpans(0x1p-60, spans),
+                 "span replay stalls");
+    // Stalls once step_dt drops below half an ulp.
+    EXPECT_DEATH(trace.compileStepSpans(1e-20, spans),
+                 "span replay stalls");
+}
+
 // ---------------------------------------------------------------------------
 // Randomized differential sweep with shrinking.
 // ---------------------------------------------------------------------------

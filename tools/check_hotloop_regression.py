@@ -169,17 +169,12 @@ def main():
         cur_v = cur_m.get(name)
         if cur_v is None:
             # A baseline recorded on a vector-capable host must not fail
-            # the gate on one without: the avx2/avx512 batch rows are the
-            # only metrics that are legitimately host-dependent.
+            # the gate on one without: the avx2 batch row is the only
+            # metric that is legitimately host-dependent.
             if (name == "batch.avx2"
                     and not cur.get("batch", {}).get("avx2_available",
                                                      False)):
                 print(f"{name:28s} skipped (host lacks AVX2)")
-                continue
-            if (name == "batch.avx512"
-                    and not cur.get("batch", {}).get("avx512_available",
-                                                     False)):
-                print(f"{name:28s} skipped (host lacks AVX-512F)")
                 continue
             failures.append(f"{name}: missing from current run")
             continue
